@@ -58,7 +58,7 @@ class AnalyzerConfig:
         "repro.cache.hierarchy.HierarchyAccess",
         "repro.cache.sram_cache.Eviction",
         "repro.cache.sram_cache.CacheAccessResult",
-        "repro.dram.channel.ChannelAccess",
+        "repro.dram.channel.DramChannel",
         "repro.dram.device.DramAccessResult",
     )
 

@@ -71,6 +71,9 @@ class CacheHierarchy:
         # most three LLC writebacks (L1-victim chain, L2 victim, L3 victim),
         # so three reused records cover every path without allocating.
         self._wb_pool = [Eviction(addr=0, dirty=True) for _ in range(3)]
+        # Scratch list of the walk's dirty L2 victims (at most two: one from
+        # the L1-victim fill, one from the demand fill), emptied every walk.
+        self._l2_victims: List[int] = []
 
     def access(self, core_id: int, addr: int, is_write: bool) -> HierarchyAccess:
         """Walk the hierarchy for one demand access from ``core_id``."""
@@ -92,49 +95,165 @@ class CacheHierarchy:
         owned by the hierarchy and only valid until the next call; callers
         must consume it immediately and must not mutate or retain it.
         ``core_id`` is trusted to be in range.
+
+        One frame walks all three levels: the lookups, fills and victim
+        chains of :meth:`SramCache.access` / :meth:`SramCache.fill` are
+        written out here, with victims kept in locals.  The order of every
+        state change, counter and ``random``-policy draw is that of the
+        composed walk — L1 access, the dirty L1 victim filled into the L2,
+        L2 access, each dirty L2 victim filled into the L3, L3 access — so
+        results are identical to it.
         """
         l1 = self.l1[core_id]
-        if l1.access_fast(addr, is_write):
+        line = addr >> l1._line_bits
+        set_index = line & l1._set_mask
+        bucket = l1._sets[set_index]
+        if line in bucket:
+            l1.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l1._lru:
+                bucket.move_to_end(line)
             return self._l1_hit
+
+        # L1 miss: allocate the demand line; keep the victim if it is dirty.
+        l1.misses += 1
+        l1_victim = -1
+        if len(bucket) >= l1.num_ways:
+            if l1._random:
+                victim = l1.random_victim(bucket)
+                victim_dirty = bucket.pop(victim)
+            else:
+                # LRU keeps recency order, FIFO keeps insertion order; both
+                # evict the oldest entry, i.e. the front of the dict.
+                victim, victim_dirty = bucket.popitem(last=False)
+            l1.evictions += 1
+            if victim_dirty:
+                l1.dirty_evictions += 1
+                l1_victim = victim << l1._line_bits
+        bucket[line] = is_write
+        if l1._dirty_sets is not None:
+            l1._dirty_sets.append(set_index)
 
         outcome = self._scratch
         writebacks = outcome.writebacks
         del writebacks[:]
-        wb_pool = self._wb_pool
-        l3 = self.l3
-        if l1.victim_addr is not None and l1.victim_dirty:
-            # Dirty L1 victim is absorbed by the L2 (write-back).
-            l2 = self.l2[core_id]
-            l2.fill_fast(l1.victim_addr, dirty=True)
-            if l2.victim_addr is not None and l2.victim_dirty:
-                l3.fill_fast(l2.victim_addr, dirty=True)
-                if l3.victim_addr is not None and l3.victim_dirty:
-                    eviction = wb_pool[len(writebacks)]
-                    eviction.addr = l3.victim_addr
-                    writebacks.append(eviction)
-
+        # Dirty L2 victims, in eviction order, still to be filled into the L3.
+        l2_victims = self._l2_victims
         l2 = self.l2[core_id]
-        l2_hit = l2.access_fast(addr, is_write)
-        if not l2_hit and l2.victim_addr is not None and l2.victim_dirty:
-            l3.fill_fast(l2.victim_addr, dirty=True)
-            if l3.victim_addr is not None and l3.victim_dirty:
-                eviction = wb_pool[len(writebacks)]
-                eviction.addr = l3.victim_addr
-                writebacks.append(eviction)
-        if l2_hit:
-            outcome.level = "l2"
-            outcome.llc_miss = False
-            return outcome
+        l2_sets = l2._sets
+        l2_mask = l2._set_mask
+        l2_bits = l2._line_bits
+        if l1_victim >= 0:
+            # The dirty L1 victim is absorbed by the L2 (write-back fill).
+            line = l1_victim >> l2_bits
+            bucket = l2_sets[line & l2_mask]
+            if line in bucket:
+                bucket[line] = True
+                if l2._lru:
+                    bucket.move_to_end(line)
+            else:
+                if len(bucket) >= l2.num_ways:
+                    if l2._random:
+                        victim = l2.random_victim(bucket)
+                        victim_dirty = bucket.pop(victim)
+                    else:
+                        victim, victim_dirty = bucket.popitem(last=False)
+                    l2.evictions += 1
+                    if victim_dirty:
+                        l2.dirty_evictions += 1
+                        l2_victims.append(victim << l2_bits)
+                bucket[line] = True
 
-        l3_hit = l3.access_fast(addr, is_write)
-        if not l3_hit and l3.victim_addr is not None and l3.victim_dirty:
-            eviction = wb_pool[len(writebacks)]
-            eviction.addr = l3.victim_addr
-            writebacks.append(eviction)
-        if l3_hit:
+        line = addr >> l2_bits
+        bucket = l2_sets[line & l2_mask]
+        l2_hit = line in bucket
+        if l2_hit:
+            l2.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l2._lru:
+                bucket.move_to_end(line)
+            if not l2_victims:
+                outcome.level = "l2"
+                outcome.llc_miss = False
+                return outcome
+        else:
+            l2.misses += 1
+            if len(bucket) >= l2.num_ways:
+                if l2._random:
+                    victim = l2.random_victim(bucket)
+                    victim_dirty = bucket.pop(victim)
+                else:
+                    victim, victim_dirty = bucket.popitem(last=False)
+                l2.evictions += 1
+                if victim_dirty:
+                    l2.dirty_evictions += 1
+                    l2_victims.append(victim << l2_bits)
+            bucket[line] = is_write
+
+        l3 = self.l3
+        l3_sets = l3._sets
+        l3_mask = l3._set_mask
+        l3_bits = l3._line_bits
+        wb_pool = self._wb_pool
+        if l2_victims:
+            # Each dirty L2 victim is absorbed by the L3; a dirty L3 victim
+            # it displaces becomes a writeback to the memory controllers.
+            # (The L2 demand access above touches no L3 state, so filling
+            # after it keeps the composed walk's order.)
+            for victim_addr in l2_victims:
+                line = victim_addr >> l3_bits
+                bucket = l3_sets[line & l3_mask]
+                if line in bucket:
+                    bucket[line] = True
+                    if l3._lru:
+                        bucket.move_to_end(line)
+                    continue
+                if len(bucket) >= l3.num_ways:
+                    if l3._random:
+                        victim = l3.random_victim(bucket)
+                        victim_dirty = bucket.pop(victim)
+                    else:
+                        victim, victim_dirty = bucket.popitem(last=False)
+                    l3.evictions += 1
+                    if victim_dirty:
+                        l3.dirty_evictions += 1
+                        eviction = wb_pool[len(writebacks)]
+                        eviction.addr = victim << l3_bits
+                        writebacks.append(eviction)
+                bucket[line] = True
+            del l2_victims[:]
+            if l2_hit:
+                outcome.level = "l2"
+                outcome.llc_miss = False
+                return outcome
+
+        line = addr >> l3_bits
+        bucket = l3_sets[line & l3_mask]
+        if line in bucket:
+            l3.hits += 1
+            if is_write:
+                bucket[line] = True
+            if l3._lru:
+                bucket.move_to_end(line)
             outcome.level = "l3"
             outcome.llc_miss = False
             return outcome
+        l3.misses += 1
+        if len(bucket) >= l3.num_ways:
+            if l3._random:
+                victim = l3.random_victim(bucket)
+                victim_dirty = bucket.pop(victim)
+            else:
+                victim, victim_dirty = bucket.popitem(last=False)
+            l3.evictions += 1
+            if victim_dirty:
+                l3.dirty_evictions += 1
+                eviction = wb_pool[len(writebacks)]
+                eviction.addr = victim << l3_bits
+                writebacks.append(eviction)
+        bucket[line] = is_write
         outcome.level = "memory"
         outcome.llc_miss = True
         return outcome

@@ -79,9 +79,11 @@ class SramCache:
 
         # Set indices whose membership changed, appended on fill/invalidate.
         # ``None`` (the default) disables logging entirely; the batch
-        # engine's vectorized front end installs a list here so it can
-        # refresh only the touched rows of its flat tag mirror.  Hits never
-        # log — they cannot change membership.
+        # engine's vectorized front end installs a list here on the L1
+        # caches so it can refresh only the touched rows of its flat tag
+        # mirror.  Hits never log — they cannot change membership.  The
+        # hierarchy's inlined walk logs L1 fills only: no mirror of an L2
+        # or L3 exists.
         self._dirty_sets: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ address math
@@ -147,17 +149,26 @@ class SramCache:
             return
         self._fill_fast(bucket, line, dirty)
 
+    def random_victim(self, bucket: "OrderedDict[int, bool]") -> int:
+        """Draw the victim line of a full set under the ``random`` policy.
+
+        The single place the policy's RNG is drawn, shared with the inlined
+        walk in :meth:`repro.cache.hierarchy.CacheHierarchy.access_reused`,
+        so both consume the same draws in the same order.
+        """
+        # Advance an iterator instead of materialising the key list; the draw
+        # and the chosen victim are identical (dict iteration order is the
+        # order list(bucket.keys()) would have).
+        index = self._rng.randint(0, len(bucket))
+        iterator = iter(bucket)
+        for _ in range(index):
+            next(iterator)
+        return next(iterator)
+
     def _fill_fast(self, bucket: "OrderedDict[int, bool]", line: int, dirty: bool) -> None:
         if len(bucket) >= self.num_ways:
             if self._random:
-                # Advance an iterator instead of materialising the key list;
-                # the draw and the chosen victim are identical (dict iteration
-                # order is the order list(bucket.keys()) would have).
-                index = self._rng.randint(0, len(bucket))
-                iterator = iter(bucket)
-                for _ in range(index):
-                    next(iterator)
-                victim = next(iterator)
+                victim = self.random_victim(bucket)
                 victim_dirty = bucket.pop(victim)
             else:
                 # LRU keeps recency order, FIFO keeps insertion order; both

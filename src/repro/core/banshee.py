@@ -56,6 +56,9 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import MissRateWindow, TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_HIT = TrafficCategory.HIT_DATA
+_MISS = TrafficCategory.MISS_DATA
+
 __all__ = ["METADATA_ACCESS_BYTES", "BansheeCache", "BansheePartition"]
 
 #: Shared read-only mapping used when a request carries none (unit tests and
@@ -209,26 +212,28 @@ class BansheeCache(DramCacheScheme):
             # this page avoid the in-DRAM tag probe (Section 3.3).
             self.coherence.note_clean(mc_id, page, carried_cached, carried_way)
 
-        cached = partition.is_resident(page)
-        self.stats.inc("mapping_consistent" if cached == carried_cached else "mapping_stale")
+        cached = page in partition.resident
+        counters = self._counters
+        counters["mapping_consistent" if cached == carried_cached else "mapping_stale"] += 1
 
         if cached:
             served_by = "in-package"
             if self.balancer is not None and page not in partition.dirty and self.balancer.should_redirect(
                 self.rng.random()
             ):
-                latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+                latency = self._off_access(now, request.addr, self.line_size, _HIT)
                 served_by = "off-package"
-                self.stats.inc("balanced_hits")
+                counters["balanced_hits"] += 1
             else:
-                latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+                latency = self._in_access(now, request.addr, self.line_size, _HIT)
             if request.is_write:
                 partition.mark_dirty(page)
+            counters["dram_cache_hits"] += 1
         else:
-            latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.MISS_DATA)
+            latency = self._off_access(now, request.addr, self.line_size, _MISS)
             served_by = "off-package"
+            counters["dram_cache_misses"] += 1
 
-        self.record_hit(cached)
         # The partition's sampler feeds the shared miss-rate window that
         # drives the adaptive sample rate (Section 4.2.1).
         partition.sampler.record(cached)
@@ -241,13 +246,13 @@ class BansheeCache(DramCacheScheme):
         entry = self.coherence.lookup(mc_id, page)
         if entry is not None:
             cached = entry.cached
-            self.stats.inc("writeback_tagbuffer_hits")
+            self._counters["writeback_tagbuffer_hits"] += 1
         else:
             # Without mapping information the controller must probe the tags
             # stored in the DRAM cache (Section 3.3).
             self.tag_probe.probe(now, request.addr)
             cached = partition.is_resident(page)
-            self.stats.inc("writeback_tag_probes")
+            self._counters["writeback_tag_probes"] += 1
         if cached:
             self.flows.writeback_to_cache(now, request.addr)
             partition.mark_dirty(page)
@@ -300,7 +305,7 @@ class BansheeCache(DramCacheScheme):
         if victim_page != INVALID_PAGE:
             self._evict_page(now, victim_page, partition)
         self._fill_page(now, page, victim_way, partition, dirty=request.is_write)
-        self.stats.inc("replacements")
+        self._counters["replacements"] += 1
 
         # Both the evicted and the inserted page changed their mapping: record
         # the remaps in this controller's tag buffer (Section 3.1).
@@ -312,14 +317,14 @@ class BansheeCache(DramCacheScheme):
     def _evict_page(self, now: int, victim_page: int, partition: BansheePartition) -> None:
         if victim_page in partition.dirty:
             self.flows.evict_dirty_to_off(now, victim_page * partition.page_size, partition.page_size)
-            self.stats.inc("dirty_page_evictions")
+            self._counters["dirty_page_evictions"] += 1
         partition.directory.evict(victim_page)
-        self.stats.inc("page_evictions")
+        self._counters["page_evictions"] += 1
 
     def _fill_page(self, now: int, page: int, way: int, partition: BansheePartition, dirty: bool) -> None:
         self.flows.fill_from_off(now, page * partition.page_size, partition.page_size)
         partition.directory.fill(page, way, dirty)
-        self.stats.inc("page_fills")
+        self._counters["page_fills"] += 1
 
     # ------------------------------------------------------------------ LRU ablation (Figure 7)
 
@@ -356,7 +361,7 @@ class BansheeCache(DramCacheScheme):
         self._fill_page(now, page, victim_way, partition, dirty=request.is_write)
         partition.lru.on_fill(set_index, victim_way)
         self.coherence.record_remap(mc_id, page, cached=True, way=victim_way, core_id=request.core_id)
-        self.stats.inc("replacements")
+        self._counters["replacements"] += 1
 
     # ------------------------------------------------------------------ end of run
 

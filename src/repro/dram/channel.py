@@ -1,164 +1,60 @@
-"""A DRAM channel modelled as a busy-time (bandwidth) resource.
+"""Per-channel state of a DRAM device.
 
 Each channel serialises the transfers routed to it.  A request arriving at
 time ``now`` waits until the channel is free, then occupies it for the
 transfer time of its payload.  The returned latency therefore includes
 queueing delay, which is how bandwidth contention — the central quantity in
 the Banshee evaluation — shows up as performance loss.
+
+Two priority classes are modelled, mirroring how memory controllers schedule
+traffic:
+
+* **demand** accesses (the line a core is waiting for) are serialised on the
+  channel and see queueing delay when it is busy;
+* **background** transfers (cache fills, page replacement moves, dirty
+  writebacks) are buffered and drained with lower priority: they consume
+  bandwidth during idle gaps first, and only push back demand traffic once
+  the device's background buffer is full.
+
+Without the second class a single 4 KB page move would block a later demand
+read for thousands of cycles, which is not how real controllers with
+read-priority scheduling behave.
+
+The timing arithmetic lives in one place,
+:meth:`repro.dram.device.DramDevice.access_latency`, which runs for every DRAM
+access; a :class:`DramChannel` only holds the state it reads and updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.dram.timing import DramTiming
-
-
-@dataclass
-class ChannelAccess:
-    """Outcome of a single channel access."""
-
-    __slots__ = ("latency", "queue_delay", "transfer_cycles", "completion_time")
-
-    latency: int
-    queue_delay: int
-    transfer_cycles: int
-    completion_time: int
-
 
 class DramChannel:
-    """One DRAM channel with a simple row-buffer locality approximation.
+    """Dynamic state of one DRAM channel."""
 
-    Two priority classes are modelled, mirroring how memory controllers
-    schedule traffic:
+    __slots__ = (
+        "channel_id",
+        "busy_until",
+        "total_busy_cycles",
+        "total_requests",
+        "background_backlog",
+        "last_row",
+    )
 
-    * **demand** accesses (the line a core is waiting for) are serialised on
-      the channel and see queueing delay when it is busy;
-    * **background** transfers (cache fills, page replacement moves, dirty
-      writebacks) are buffered and drained with lower priority: they consume
-      bandwidth during idle gaps first, and only push back demand traffic
-      once the buffer (``background_buffer_cycles``) is full.
-
-    Without the second class a single 4 KB page move would block a later
-    demand read for thousands of cycles, which is not how real controllers
-    with read-priority scheduling behave.
-    """
-
-    def __init__(
-        self,
-        channel_id: int,
-        timing: DramTiming,
-        row_hit_fraction: float = 0.5,
-        background_buffer_cycles: int = 4096,
-    ) -> None:
-        if not 0.0 <= row_hit_fraction <= 1.0:
-            raise ValueError("row_hit_fraction must be in [0, 1]")
-        if background_buffer_cycles < 0:
-            raise ValueError("background_buffer_cycles must be non-negative")
+    def __init__(self, channel_id: int) -> None:
         self.channel_id = channel_id
-        self.timing = timing
-        self.row_hit_fraction = row_hit_fraction
-        self.background_buffer_cycles = background_buffer_cycles
+        #: Cycle at which the channel finishes its committed transfers.
         self.busy_until = 0
         self.total_busy_cycles = 0
         self.total_requests = 0
-        self._background_backlog = 0
-        self._last_row: int = -1
-        # Row-hit threshold hoisted out of the per-access path.
-        self._row_hit_percent = int(row_hit_fraction * 100)
-        # Detail fields of the most recent ``access_latency`` call; the
-        # :class:`ChannelAccess`-returning wrapper reads them back so the
-        # hot path never allocates.
-        self.last_queue_delay = 0
-        self.last_transfer_cycles = 0
-        self.last_completion_time = 0
-
-    def _drain_background(self, now: int) -> None:
-        """Use any idle time before ``now`` to drain buffered background work."""
-        if self._background_backlog <= 0 or self.busy_until >= now:
-            return
-        idle = now - self.busy_until
-        drained = min(idle, self._background_backlog)
-        self.busy_until += drained
-        self._background_backlog -= drained
-
-    def access(self, now: int, num_bytes: int, row: int = -1, background: bool = False) -> ChannelAccess:
-        """Issue one transfer of ``num_bytes`` at time ``now``.
-
-        Args:
-            now: current CPU cycle at the requesting core.
-            num_bytes: payload size; occupancy is proportional to it.
-            row: row identifier for row-buffer locality (-1 to use the
-                statistical row-hit fraction instead).
-            background: True for fills/replacement/writeback traffic that is
-                not on any core's critical path.
-        """
-        latency = self.access_latency(now, num_bytes, row=row, background=background)
-        return ChannelAccess(
-            latency=latency,
-            queue_delay=self.last_queue_delay,
-            transfer_cycles=self.last_transfer_cycles,
-            completion_time=self.last_completion_time,
-        )
-
-    def access_latency(self, now: int, num_bytes: int, row: int = -1, background: bool = False) -> int:
-        """Allocation-free :meth:`access`: returns the latency only.
-
-        The queue-delay / transfer / completion details of the call are left
-        in ``last_queue_delay`` / ``last_transfer_cycles`` /
-        ``last_completion_time`` for callers that need them.
-        """
-        if now < 0:
-            raise ValueError("time must be non-negative")
-        transfer = self.timing.transfer_cycles(num_bytes)
-        if row >= 0:
-            row_hit = row == self._last_row
-            self._last_row = row
-        else:
-            # Statistical approximation: alternate deterministically around
-            # the configured fraction so behaviour stays reproducible.
-            row_hit = (self.total_requests % 100) < self._row_hit_percent
-        device_latency = self.timing.access_latency_cycles(row_hit)
-
-        self._drain_background(now)
-        self.total_busy_cycles += transfer
-        self.total_requests += 1
-        self.last_transfer_cycles = transfer
-
-        if background:
-            self._background_backlog += transfer
-            overflow = self._background_backlog - self.background_buffer_cycles
-            if overflow > 0:
-                # The fill/writeback buffers are full: the excess applies
-                # back-pressure and delays demand traffic like any transfer.
-                self.busy_until = max(self.busy_until, now) + overflow
-                self._background_backlog = self.background_buffer_cycles
-            self.last_queue_delay = 0
-            self.last_completion_time = max(now, self.busy_until) + device_latency + transfer
-            return device_latency + transfer
-
-        start = max(now, self.busy_until)
-        queue_delay = start - now
-        self.last_queue_delay = queue_delay
-        self.last_completion_time = start + device_latency + transfer
-        self.busy_until = start + transfer
-        return queue_delay + device_latency + transfer
-
-    @property
-    def background_backlog_cycles(self) -> int:
-        """Buffered background work not yet charged to the channel timeline."""
-        return self._background_backlog
-
-    def utilization(self, elapsed_cycles: int) -> float:
-        """Fraction of ``elapsed_cycles`` this channel spent transferring data."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_cycles / elapsed_cycles)
+        #: Buffered background work not yet charged to the channel timeline.
+        self.background_backlog = 0
+        #: Row left open by the previous access (-1: none yet).
+        self.last_row = -1
 
     def reset(self) -> None:
         """Clear all dynamic state (used between simulation phases)."""
         self.busy_until = 0
         self.total_busy_cycles = 0
         self.total_requests = 0
-        self._background_backlog = 0
-        self._last_row = -1
+        self.background_backlog = 0
+        self.last_row = -1

@@ -5,8 +5,10 @@ into CPU-cycle latencies and transfer occupancies.  The model is deliberately
 simple — a fixed device access latency (activate + CAS) plus a transfer time
 proportional to the number of bytes moved — because the paper's evaluation is
 dominated by *bandwidth* (channel occupancy) rather than detailed bank-level
-timing.  Row-buffer behaviour is approximated with a configurable hit
-fraction that removes the activate component for that fraction of accesses.
+timing.  Row-buffer behaviour is modelled by
+:meth:`repro.dram.device.DramDevice.access_latency`, which keeps the last open
+row of each channel: an access to that row pays the row-hit latency (CAS
+only), any other access the row-miss latency (precharge + activate + CAS).
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class DramTiming:
         # and the round/int/max dance is pure overhead when repeated.
         self._row_miss_cycles = max(1, int(round(self._row_miss_latency)))
         self._row_hit_cycles = max(1, int(round(self._row_hit_latency)))
-        # Transfer-cycle memo: only a handful of distinct payload sizes occur
-        # (line, line+tag, page, metadata), so cache the rounding result.
-        self._transfer_cache: dict = {}
 
     @property
     def row_miss_latency_cycles(self) -> int:
@@ -67,19 +66,14 @@ class DramTiming:
 
         Transfers are rounded up to the minimum transfer granularity of the
         technology (32 B for HBM-class links), which is exactly why a 64 B
-        line plus an 8 B tag costs 96 B on the wire in the paper.
+        line plus an 8 B tag costs 96 B on the wire in the paper.  Only a
+        handful of distinct sizes occur, so the device memoises the result.
         """
-        cached = self._transfer_cache.get(num_bytes)
-        if cached is not None:
-            return cached
         if num_bytes <= 0:
-            cycles = 0
-        else:
-            granule = self.config.min_transfer_bytes
-            effective = ((num_bytes + granule - 1) // granule) * granule
-            cycles = max(1, int(round(effective * self._cycles_per_byte)))
-        self._transfer_cache[num_bytes] = cycles
-        return cycles
+            return 0
+        granule = self.config.min_transfer_bytes
+        effective = ((num_bytes + granule - 1) // granule) * granule
+        return max(1, int(round(effective * self._cycles_per_byte)))
 
     def access_latency_cycles(self, row_hit: bool) -> int:
         """Device latency component for one access."""

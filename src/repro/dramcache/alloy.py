@@ -39,6 +39,8 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_MISS = TrafficCategory.MISS_DATA
+
 
 class AlloyCache(DramCacheScheme):
     """Direct-mapped, line-granularity DRAM cache with stochastic fills."""
@@ -99,21 +101,21 @@ class AlloyCache(DramCacheScheme):
             ):
                 # Bandwidth balancing (Section 5.4.2): serve this clean hit
                 # from off-package DRAM to relieve the in-package channels.
-                latency = self.read_off(now, line_addr, self.line_size, TrafficCategory.HIT_DATA)
+                latency = self._off_access(now, line_addr, self.line_size, TrafficCategory.HIT_DATA)
                 served_by = "off-package"
             else:
                 # One TAD read returns tag + data: 96 B on the wire.
                 latency = self.probe.hit_read(now, line_addr)
             if request.is_write:
                 store.mark_dirty(frame)
-            self.record_hit(True)
+            self._counters["dram_cache_hits"] += 1
             return self._result_of(latency, True, served_by)
 
         # Miss: the speculative TAD read is wasted, then fetch from off-package.
         spec_latency = self.probe.speculative_read(now, line_addr)
-        off_latency = self.read_off(now + spec_latency, line_addr, self.line_size, TrafficCategory.MISS_DATA)
+        off_latency = self._off_access(now + spec_latency, line_addr, self.line_size, _MISS)
         latency = spec_latency + off_latency
-        self.record_hit(False)
+        self._counters["dram_cache_misses"] += 1
 
         if self.rng.chance(self.fill_probability):
             self._fill(now + latency, frame, line, line_addr, request.is_write)
@@ -124,11 +126,11 @@ class AlloyCache(DramCacheScheme):
         if victim_dirty:
             # The evicted line is dirty: it must be written to off-package DRAM.
             self.flows.evict_dirty_to_off(now, victim * self.line_size, self.line_size)
-            self.stats.inc("dirty_victim_writebacks")
+            self._counters["dirty_victim_writebacks"] += 1
         # Fill writes the 64 B line and its tag into the TAD frame.
         self.flows.fill_in_only(now, line_addr, self.line_size)
         self.flows.fill_metadata(now, line_addr)
-        self.stats.inc("fills")
+        self._counters["fills"] += 1
 
     def _writeback(self, now: int, line: int, line_addr: int) -> AccessResult:
         # BEAR writeback probe: read only the tag first.
@@ -136,8 +138,8 @@ class AlloyCache(DramCacheScheme):
         if self.store.is_resident(line):
             self.flows.writeback_to_cache(now, line_addr)
             self.store.mark_dirty(self.store.frame_of(line))
-            self.stats.inc("writeback_hits")
+            self._counters["writeback_hits"] += 1
             return self._result_of(0, True, "in-package")
         self.flows.writeback_to_off(now, line_addr)
-        self.stats.inc("writeback_misses")
+        self._counters["writeback_misses"] += 1
         return self._result_of(0, False, "off-package")

@@ -76,11 +76,15 @@ class DramCacheScheme(ABC):
         self.stats = StatsSet(self.name)
         self.line_size = config.cacheline_size
         self.page_size = config.dram_cache.page_size
-        # Bound device-access methods, hoisted once: every LLC miss funnels
-        # through read_in/read_off/background_*, so the repeated
-        # ``self.in_dram.access_latency`` attribute chain is worth removing.
+        # Bound device-access methods, hoisted once: every LLC miss issues
+        # one or more DRAM accesses, which schemes and components call
+        # directly as ``self._in_access(now, addr, num_bytes, category)``
+        # (``background=True`` for transfers off the critical path).
         self._in_access = self.in_dram.access_latency
         self._off_access = self.off_dram.access_latency
+        # The counters behind ``stats``, for in-line increments on the
+        # per-access path (``self._counters["fills"] += 1``).
+        self._counters = self.stats._counters
         # Preallocated result record, returned by ``_result_of``: the System
         # reads ``latency`` synchronously before issuing the next request and
         # never retains a result, so one mutated-in-place instance per scheme
@@ -125,13 +129,6 @@ class DramCacheScheme(ABC):
         result.served_by = served_by
         return result
 
-    def record_hit(self, hit: bool) -> None:
-        """Track demand hit/miss counts for MPKI and miss-rate reporting."""
-        if hit:
-            self.stats.inc("dram_cache_hits")
-        else:
-            self.stats.inc("dram_cache_misses")
-
     @property
     def demand_accesses(self) -> int:
         """Number of demand accesses seen so far."""
@@ -144,22 +141,6 @@ class DramCacheScheme(ABC):
         if total == 0:
             return 0.0
         return self.stats.get("dram_cache_misses") / total
-
-    def read_in(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> int:
-        """Access the in-package DRAM, returning latency."""
-        return self._in_access(now, addr, num_bytes, category)
-
-    def read_off(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> int:
-        """Access the off-package DRAM, returning latency."""
-        return self._off_access(now, addr, num_bytes, category)
-
-    def background_in(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> None:
-        """In-package access whose latency is off the critical path."""
-        self._in_access(now, addr, num_bytes, category, background=True)
-
-    def background_off(self, now: int, addr: int, num_bytes: int, category: TrafficCategory) -> None:
-        """Off-package access whose latency is off the critical path."""
-        self._off_access(now, addr, num_bytes, category, background=True)
 
     def traffic_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-device traffic breakdown (bytes)."""

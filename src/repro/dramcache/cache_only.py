@@ -13,6 +13,9 @@ from repro.dramcache.base import DramCacheScheme
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.stats import TrafficCategory
 
+_HIT = TrafficCategory.HIT_DATA
+_WRITEBACK = TrafficCategory.WRITEBACK
+
 
 class CacheOnly(DramCacheScheme):
     """Every LLC miss and writeback hits in an infinitely large in-package DRAM."""
@@ -21,10 +24,10 @@ class CacheOnly(DramCacheScheme):
 
     def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
         if request.is_writeback:
-            self.background_in(now, request.addr, self.line_size, TrafficCategory.WRITEBACK)
+            self._in_access(now, request.addr, self.line_size, _WRITEBACK, True)
             return self._result_of(0, None, "in-package")
-        latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(True)
+        latency = self._in_access(now, request.addr, self.line_size, _HIT)
+        self._counters["dram_cache_hits"] += 1
         return self._result_of(latency, True, "in-package")
 
     def is_resident(self, page: int) -> bool:

@@ -4,7 +4,7 @@ Table 1 of the paper is, at heart, a catalogue of which DRAM accesses each
 scheme performs per hit, miss, fill and eviction.  These components express
 those accesses once, with the correct byte counts and
 :class:`~repro.sim.stats.TrafficCategory` labels, so schemes compose flows
-instead of re-implementing ``background_in``/``background_off`` sequences:
+instead of re-implementing sequences of background device accesses:
 
 * :class:`TagProbe` — tag reads/updates for schemes that keep tags in the
   in-package DRAM (Alloy's TAD layout, Unison's in-DRAM tags, Banshee's
@@ -14,9 +14,10 @@ instead of re-implementing ``background_in``/``background_off`` sequences:
 * :class:`TransferFlows` — fill, dirty-evict, writeback and migration data
   movement between the two DRAM devices.
 
-All latency-bearing accesses go through the port's hoisted device-access
-methods (bound once at construction), so composing these adds a single extra
-call per operation over the hand-inlined originals.
+All accesses go through the port's hoisted device-access methods (bound
+once at construction), ``access_latency(now, addr, num_bytes, category,
+background)``; the background flag is passed positionally, which is cheaper
+than a keyword on a path that runs several times per LLC miss.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class TagProbe:
 
     def probe(self, now: int, addr: int) -> None:
         """One background tag read/update (32 B, off the critical path)."""
-        self._in_access(now, addr, self.tag_bytes, _TAG, background=True)
+        self._in_access(now, addr, self.tag_bytes, _TAG, True)
 
     def hit_read(self, now: int, addr: int, tag_accesses: int = 1) -> int:
         """Combined data+tag read on a hit; returns the critical-path latency.
@@ -58,39 +59,39 @@ class TagProbe:
         """
         latency = self._in_access(now, addr, self.line_size, _HIT)
         for _ in range(tag_accesses):
-            self._in_access(now, addr, self.tag_bytes, _TAG, background=True)
+            self._in_access(now, addr, self.tag_bytes, _TAG, True)
         return latency
 
     def speculative_read(self, now: int, addr: int) -> int:
         """Wasted tag+data read on a miss (way prediction must be verified)."""
         latency = self._in_access(now, addr, self.line_size, _MISS)
-        self._in_access(now, addr, self.tag_bytes, _TAG, background=True)
+        self._in_access(now, addr, self.tag_bytes, _TAG, True)
         return latency
 
 
 class MetadataChannel:
     """The 32 B per-set metadata record in the in-package DRAM (Banshee)."""
 
-    __slots__ = ("access_bytes", "_in_access", "_stats_inc")
+    __slots__ = ("access_bytes", "_in_access", "_counters")
 
     def __init__(self, port, access_bytes: int = METADATA_ACCESS_BYTES) -> None:
         self.access_bytes = access_bytes
         self._in_access = port._in_access
-        self._stats_inc = port.stats.inc
+        self._counters = port._counters
 
     def read(self, now: int, addr: int) -> None:
         """Load the set's metadata record (counted as a counter read)."""
-        self._in_access(now, addr, self.access_bytes, _COUNTER, background=True)
-        self._stats_inc("counter_reads")
+        self._in_access(now, addr, self.access_bytes, _COUNTER, True)
+        self._counters["counter_reads"] += 1
 
     def write(self, now: int, addr: int) -> None:
         """Store the set's metadata record (counted as a counter write)."""
-        self._in_access(now, addr, self.access_bytes, _COUNTER, background=True)
-        self._stats_inc("counter_writes")
+        self._in_access(now, addr, self.access_bytes, _COUNTER, True)
+        self._counters["counter_writes"] += 1
 
     def touch(self, now: int, addr: int) -> None:
         """One uncounted metadata transfer (the LRU ablation's recency bits)."""
-        self._in_access(now, addr, self.access_bytes, _COUNTER, background=True)
+        self._in_access(now, addr, self.access_bytes, _COUNTER, True)
 
 
 class TransferFlows:
@@ -109,33 +110,33 @@ class TransferFlows:
 
     def fill_from_off(self, now: int, addr: int, num_bytes: int) -> None:
         """Move ``num_bytes`` from off-package DRAM into the cache (a fill)."""
-        self._off_access(now, addr, num_bytes, _REPL, background=True)
-        self._in_access(now, addr, num_bytes, _REPL, background=True)
+        self._off_access(now, addr, num_bytes, _REPL, True)
+        self._in_access(now, addr, num_bytes, _REPL, True)
 
     def fill_in_only(self, now: int, addr: int, num_bytes: int) -> None:
         """Write ``num_bytes`` into the cache (data already fetched on demand)."""
-        self._in_access(now, addr, num_bytes, _REPL, background=True)
+        self._in_access(now, addr, num_bytes, _REPL, True)
 
     def fill_metadata(self, now: int, addr: int, num_bytes: int = TAG_ACCESS_BYTES) -> None:
         """Tag/metadata update that accompanies a fill (replacement traffic)."""
-        self._in_access(now, addr, num_bytes, _REPL, background=True)
+        self._in_access(now, addr, num_bytes, _REPL, True)
 
     # ------------------------------------------------------------------ evictions
 
     def evict_dirty_to_off(self, now: int, addr: int, num_bytes: int) -> None:
         """Read a dirty victim out of the cache and write it off-package."""
-        self._in_access(now, addr, num_bytes, _REPL, background=True)
-        self._off_access(now, addr, num_bytes, _WB, background=True)
+        self._in_access(now, addr, num_bytes, _REPL, True)
+        self._off_access(now, addr, num_bytes, _WB, True)
 
     # ------------------------------------------------------------------ LLC writebacks
 
     def writeback_to_cache(self, now: int, addr: int) -> None:
         """An LLC dirty eviction lands in the DRAM cache."""
-        self._in_access(now, addr, self.line_size, _WB, background=True)
+        self._in_access(now, addr, self.line_size, _WB, True)
 
     def writeback_to_off(self, now: int, addr: int) -> None:
         """An LLC dirty eviction bypasses the cache to off-package DRAM."""
-        self._off_access(now, addr, self.line_size, _WB, background=True)
+        self._off_access(now, addr, self.line_size, _WB, True)
 
     # ------------------------------------------------------------------ OS-driven migration
 

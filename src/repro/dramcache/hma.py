@@ -80,14 +80,14 @@ class HmaCache(DramCacheScheme):
 
         self._epoch_counts[page] += 1
         if self.store.is_resident(page):
-            latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+            latency = self._in_access(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
             if request.is_write:
                 self.store.mark_dirty(page)
-            self.record_hit(True)
+            self._counters["dram_cache_hits"] += 1
             return self._result_of(latency, True, "in-package")
 
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(False)
+        latency = self._off_access(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+        self._counters["dram_cache_misses"] += 1
         return self._result_of(latency, False, "off-package")
 
     # ------------------------------------------------------------------ periodic remap

@@ -9,6 +9,9 @@ from repro.dramcache.base import DramCacheScheme
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.stats import TrafficCategory
 
+_HIT = TrafficCategory.HIT_DATA
+_WRITEBACK = TrafficCategory.WRITEBACK
+
 
 class NoCache(DramCacheScheme):
     """Every LLC miss and writeback is served by off-package DRAM."""
@@ -17,8 +20,8 @@ class NoCache(DramCacheScheme):
 
     def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
         if request.is_writeback:
-            self.background_off(now, request.addr, self.line_size, TrafficCategory.WRITEBACK)
+            self._off_access(now, request.addr, self.line_size, _WRITEBACK, True)
             return self._result_of(0, None, "off-package")
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
-        self.record_hit(False)
+        latency = self._off_access(now, request.addr, self.line_size, _HIT)
+        self._counters["dram_cache_misses"] += 1
         return self._result_of(latency, False, "off-package")

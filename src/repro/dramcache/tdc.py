@@ -33,6 +33,9 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_HIT = TrafficCategory.HIT_DATA
+_MISS = TrafficCategory.MISS_DATA
+
 
 class TaglessDramCache(DramCacheScheme):
     """Fully-associative, FIFO, PTE/TLB-mapped page-granularity DRAM cache."""
@@ -71,17 +74,17 @@ class TaglessDramCache(DramCacheScheme):
             return self._writeback(now, request, page)
 
         if self.store.is_resident(page):
-            latency = self.read_in(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
+            latency = self._in_access(now, request.addr, self.line_size, _HIT)
             if request.is_write:
                 self.store.mark_dirty(page)
             self.footprint.on_access(page, request.addr)
-            self.record_hit(True)
+            self._counters["dram_cache_hits"] += 1
             return self._result_of(latency, True, "in-package")
 
         # Miss: the mapping was already known from the TLB, so the demand line
         # comes straight from off-package DRAM with no DRAM-cache probe.
-        latency = self.read_off(now, request.addr, self.line_size, TrafficCategory.MISS_DATA)
-        self.record_hit(False)
+        latency = self._off_access(now, request.addr, self.line_size, _MISS)
+        self._counters["dram_cache_misses"] += 1
         self._fill(now + latency, request, page)
         return self._result_of(latency, False, "off-package")
 
@@ -93,17 +96,18 @@ class TaglessDramCache(DramCacheScheme):
             if victim_dirty:
                 dirty_bytes = self.footprint.writeback_bytes(victim_page)
                 self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-                self.stats.inc("dirty_page_evictions")
+                self._counters["dirty_page_evictions"] += 1
             self.footprint.on_evict(victim_page)
-            self.stats.inc("page_evictions")
+            self._counters["page_evictions"] += 1
 
         self.store.insert(page, request.is_write)
         self.footprint.on_fill(page)
         self.footprint.on_access(page, request.addr)
         fill_bytes = self.footprint.predicted_fill_bytes()
         self.flows.fill_from_off(now, page * self.page_size, fill_bytes)
-        self.stats.inc("page_fills")
-        self.stats.inc("fill_bytes", fill_bytes)
+        counters = self._counters
+        counters["page_fills"] += 1
+        counters["fill_bytes"] += fill_bytes
 
     def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
         # The mapping is known from the PTE/TLB extension, so no tag probe.

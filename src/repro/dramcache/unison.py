@@ -38,6 +38,8 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_MISS = TrafficCategory.MISS_DATA
+
 
 class UnisonCache(DramCacheScheme):
     """Set-associative page-granularity DRAM cache with in-DRAM tags and LRU."""
@@ -90,15 +92,15 @@ class UnisonCache(DramCacheScheme):
         if request.is_write:
             self.store.mark_dirty(set_index, way)
         self.footprint.on_access(page, request.addr)
-        self.record_hit(True)
+        self._counters["dram_cache_hits"] += 1
         return self._result_of(latency, True, "in-package")
 
     def _miss(self, now: int, request: MemRequest, page: int) -> AccessResult:
         # Speculative tag + data read in the DRAM cache, then the real fetch.
         spec_latency = self.probe.speculative_read(now, request.addr)
-        off_latency = self.read_off(now + spec_latency, request.addr, self.line_size, TrafficCategory.MISS_DATA)
+        off_latency = self._off_access(now + spec_latency, request.addr, self.line_size, _MISS)
         latency = spec_latency + off_latency
-        self.record_hit(False)
+        self._counters["dram_cache_misses"] += 1
         self._replace(now + latency, request, page)
         return self._result_of(latency, False, "off-package")
 
@@ -120,16 +122,17 @@ class UnisonCache(DramCacheScheme):
         page_addr = page * self.page_size
         self.flows.fill_from_off(now, page_addr, fill_bytes)
         self.flows.fill_metadata(now, page_addr)
-        self.stats.inc("page_fills")
-        self.stats.inc("fill_bytes", fill_bytes)
+        counters = self._counters
+        counters["page_fills"] += 1
+        counters["fill_bytes"] += fill_bytes
 
     def _evict(self, now: int, victim_page: int, victim_dirty: bool) -> None:
         if victim_dirty:
             dirty_bytes = self.footprint.writeback_bytes(victim_page)
             self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-            self.stats.inc("dirty_page_evictions")
+            self._counters["dirty_page_evictions"] += 1
         self.footprint.on_evict(victim_page)
-        self.stats.inc("page_evictions")
+        self._counters["page_evictions"] += 1
 
     def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
         # Writebacks must probe the in-DRAM tags to find the page.

@@ -36,9 +36,14 @@ class MemoryControllerSet:
         return (addr // page_size) % self.num_controllers
 
     def access(self, now: int, request: MemRequest) -> AccessResult:
-        """Route one request to the DRAM-cache scheme."""
+        """Route one request to the DRAM-cache scheme.
+
+        Runs for every LLC miss and writeback, so the :meth:`controller_for`
+        mapping is computed in line rather than called.
+        """
         self.requests += 1
         if request.is_writeback:
             self.writebacks += 1
-        mc_id = self.controller_for(request.addr, request.page_size)
-        return self._scheme_access(now, request, mc_id)
+        return self._scheme_access(
+            now, request, (request.addr // request.page_size) % self.num_controllers
+        )

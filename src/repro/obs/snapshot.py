@@ -212,8 +212,8 @@ def _channel_to_dict(channel: Any) -> Dict[str, Any]:
         "busy_until": channel.busy_until,
         "total_busy_cycles": channel.total_busy_cycles,
         "total_requests": channel.total_requests,
-        "background_backlog": channel._background_backlog,
-        "last_row": channel._last_row,
+        "background_backlog": channel.background_backlog,
+        "last_row": channel.last_row,
     }
 
 
@@ -221,8 +221,8 @@ def _channel_restore(channel: Any, payload: Dict[str, Any]) -> None:
     channel.busy_until = payload["busy_until"]
     channel.total_busy_cycles = payload["total_busy_cycles"]
     channel.total_requests = payload["total_requests"]
-    channel._background_backlog = payload["background_backlog"]
-    channel._last_row = payload["last_row"]
+    channel.background_backlog = payload["background_backlog"]
+    channel.last_row = payload["last_row"]
 
 
 def _traffic_to_dict(traffic: Any) -> Dict[str, Any]:

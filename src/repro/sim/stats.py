@@ -19,7 +19,14 @@ from typing import Dict, Iterable, Mapping
 
 
 class TrafficCategory(Enum):
-    """Categories of DRAM traffic, matching the stacks of Figure 5 / Figure 9."""
+    """Categories of DRAM traffic, matching the stacks of Figure 5 / Figure 9.
+
+    Members hash by identity: every DRAM access indexes a per-device byte
+    counter by its category, and ``Enum.__hash__`` (a Python-level
+    ``hash(self._name_)``) would cost a function call per lookup.  Members are
+    singletons compared by identity, so equal members still hash equal; no
+    code iterates a hash-ordered set of categories.
+    """
 
     HIT_DATA = "HitData"
     MISS_DATA = "MissData"
@@ -27,6 +34,8 @@ class TrafficCategory(Enum):
     COUNTER = "Counter"
     REPLACEMENT = "Replacement"
     WRITEBACK = "Writeback"
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -156,18 +156,28 @@ class System:
         if core._pending_stall > 0.0:
             core.apply_pending_stalls()
 
-        # Compute phase (CoreModel.advance_compute, inlined).
+        # Compute phase (CoreModel.advance_compute, inlined).  The clock is
+        # kept in a local until the record's stall is added: nothing called
+        # below reads or writes it (OS callbacks only queue pending stalls).
         stats = core.stats
         cycles = gap / core._issue_width
-        core.clock += cycles
+        clock = core.clock + cycles
         stats.instructions += gap
         stats.compute_cycles += cycles
 
-        # Address translation (System._translate, inlined).
-        entry = self.tlbs[core_id].lookup(addr // self.page_size)
-        if entry is None:
-            entry = self.tlbs[core_id].fill(self._page_table_translate(addr))
-            core.clock += self._page_walk_cycles
+        # Address translation: Tlb.lookup in line; a miss walks the page
+        # table and fills the TLB through their own methods.
+        tlb = self.tlbs[core_id]
+        vpn = addr // self.page_size
+        tlb_entries = tlb._entries
+        entry = tlb_entries.get(vpn)
+        if entry is not None:
+            tlb.hits += 1
+            tlb_entries.move_to_end(vpn)
+        else:
+            tlb.misses += 1
+            entry = tlb.fill(self._page_table_translate(addr))
+            clock += self._page_walk_cycles
 
         # Hierarchy walk + timing (CoreModel.advance_memory, inlined).
         outcome = self._hierarchy_access(core_id, addr, is_write)
@@ -181,7 +191,7 @@ class System:
             request.addr = addr
             request.is_write = is_write
             request.core_id = core_id
-            result = self._controllers_access(int(core.clock), request)
+            result = self._controllers_access(int(clock), request)
             stall = core._l3_hit_latency + result.latency / core.mlp
         else:
             level = outcome.level
@@ -191,7 +201,8 @@ class System:
                 stall = core._l2_stall
             else:
                 stall = core._l3_stall
-        core.clock += stall
+        clock += stall
+        core.clock = clock
         stats.memory_stall_cycles += stall
         if self._obs_latency_hook is not None:
             self._obs_latency_hook(stall)
@@ -199,27 +210,16 @@ class System:
         if outcome.writebacks:
             wb_request = self._wb_request
             wb_request.core_id = core_id
-            now = int(core.clock)
+            now = int(clock)
             for writeback in outcome.writebacks:
                 self.llc_writebacks += 1
                 wb_request.addr = writeback.addr
                 self._controllers_access(now, wb_request)
         if self._notify_cycle is not None:
-            self._notify_cycle(int(core.clock))
+            self._notify_cycle(int(clock))
         if self._obs_watch_hook is not None:
             self._obs_watch_hook(core_id, addr, is_write, outcome)
-        return core.clock
-
-    def _translate(self, core_id: int, addr: int, core: CoreModel) -> MappingInfo:
-        """TLB lookup (with page-walk cost on a miss); returns the carried mapping."""
-        tlb = self.tlbs[core_id]
-        vpn = addr // self.page_size
-        entry = tlb.lookup(vpn)
-        if entry is None:
-            pte = self.page_table.translate(addr)
-            entry = tlb.fill(pte)
-            core.clock += self.config.tlb.page_walk_cycles
-        return MappingInfo(cached=entry.cached, way=entry.way)
+        return clock
 
     # ------------------------------------------------------------------ results
 

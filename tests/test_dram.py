@@ -1,8 +1,11 @@
-"""Unit tests for the DRAM substrate (timing, channel, device)."""
+"""Unit tests for the DRAM substrate (timing, device).
+
+Channel behaviour is exercised through one-channel devices: the timing
+arithmetic lives in :meth:`DramDevice.access_latency`.
+"""
 
 import pytest
 
-from repro.dram.channel import DramChannel
 from repro.dram.device import DramDevice
 from repro.dram.timing import DramTiming
 from repro.sim.config import DramConfig, DramTimingConfig
@@ -39,50 +42,81 @@ def test_bandwidth_scale_changes_transfer_time():
     assert narrow.transfer_cycles(4096) > wide.transfer_cycles(4096)
 
 
+def make_channel_device(background_buffer_cycles=4096):
+    """A one-channel device: every access lands on ``channels[0]``."""
+    config = DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1)
+    return DramDevice(config, 2.7, background_buffer_cycles=background_buffer_cycles)
+
+
+def access(device, now, num_bytes, background=False):
+    return device.access(now, 0, num_bytes, TrafficCategory.HIT_DATA, background=background)
+
+
 def test_channel_queueing_delay_accumulates():
-    channel = DramChannel(0, make_timing())
-    first = channel.access(0, 4096)
-    second = channel.access(0, 64)
+    device = make_channel_device()
+    first = access(device, 0, 4096)
+    second = access(device, 0, 64)
     assert first.queue_delay == 0
     assert second.queue_delay > 0
-    assert channel.total_requests == 2
+    assert device.channels[0].total_requests == 2
 
 
 def test_channel_idle_requests_have_no_queue_delay():
-    channel = DramChannel(0, make_timing())
-    first = channel.access(0, 64)
-    later = channel.access(first.completion_time + 10_000, 64)
+    device = make_channel_device()
+    first = access(device, 0, 64)
+    # A demand access completes ``latency`` cycles after it was issued.
+    later = access(device, first.latency + 10_000, 64)
     assert later.queue_delay == 0
 
 
 def test_channel_background_traffic_is_buffered():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=100_000)
-    channel.access(0, 4096, background=True)
-    demand = channel.access(0, 64)
+    device = make_channel_device(background_buffer_cycles=100_000)
+    access(device, 0, 4096, background=True)
+    demand = access(device, 0, 64)
     # The buffered page move does not block the demand read.
     assert demand.queue_delay == 0
 
 
 def test_channel_background_overflow_applies_backpressure():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=10)
-    channel.access(0, 1 << 16, background=True)
-    demand = channel.access(0, 64)
+    device = make_channel_device(background_buffer_cycles=10)
+    access(device, 0, 1 << 16, background=True)
+    demand = access(device, 0, 64)
     assert demand.queue_delay > 0
 
 
 def test_channel_background_drains_in_idle_gaps():
-    channel = DramChannel(0, make_timing(), background_buffer_cycles=1 << 30)
-    channel.access(0, 4096, background=True)
-    backlog = channel.background_backlog_cycles
+    device = make_channel_device(background_buffer_cycles=1 << 30)
+    access(device, 0, 4096, background=True)
+    backlog = device.channels[0].background_backlog
     assert backlog > 0
-    channel.access(backlog + 10_000, 64)
-    assert channel.background_backlog_cycles == 0
+    access(device, backlog + 10_000, 64)
+    assert device.channels[0].background_backlog == 0
 
 
 def test_channel_rejects_negative_time():
-    channel = DramChannel(0, make_timing())
+    device = make_channel_device()
     with pytest.raises(ValueError):
-        channel.access(-1, 64)
+        access(device, -1, 64)
+
+
+def test_device_rejects_negative_bytes():
+    device = make_channel_device()
+    with pytest.raises(ValueError):
+        access(device, 0, -64)
+    with pytest.raises(ValueError):
+        device.record_only(-64, TrafficCategory.HIT_DATA)
+
+
+def test_device_row_buffer_hits_only_the_open_row():
+    device = make_channel_device()
+    timing = device.timing
+    transfer = timing.transfer_cycles(64)
+    idle = 1_000_000
+    assert access(device, 0, 64).latency == timing.row_miss_latency_cycles + transfer
+    # Same 8 KB row, channel idle again: only the CAS latency is paid.
+    assert access(device, idle, 64).latency == timing.row_hit_latency_cycles + transfer
+    other_row = device.access(2 * idle, 8192, 64, TrafficCategory.HIT_DATA)
+    assert other_row.latency == timing.row_miss_latency_cycles + transfer
 
 
 def test_device_routes_by_page_and_records_traffic():
@@ -109,6 +143,22 @@ def test_device_reset_clears_state():
     device.reset()
     assert device.traffic.total_bytes == 0
     assert device.channels[0].busy_until == 0
+
+
+def test_device_reset_repoints_traffic_counters():
+    """Accesses after a reset are counted in the new ``traffic``, not the old."""
+    device = make_channel_device()
+    device.access_latency(0, 0, 64, TrafficCategory.HIT_DATA)
+    old = device.traffic
+    device.reset()
+    device.access_latency(0, 0, 96, TrafficCategory.TAG, True)
+    device.record_only(32, TrafficCategory.COUNTER)
+    assert old.total_bytes == 64 and old.total_accesses == 1
+    assert device.traffic is not old
+    assert device.traffic.breakdown()["Tag"] == 96
+    assert device.traffic.total_bytes == 128
+    assert device.traffic.total_accesses == 2
+    assert device.channels[0].total_requests == 1
 
 
 def test_device_utilization_bounded():

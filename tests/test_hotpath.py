@@ -24,6 +24,10 @@ from repro.util.rng import DeterministicRng
 from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_hotpath.json")
+#: Miss-bound cells (4 cores, scale 0.1, mcf/lbm x every base scheme): most
+#: records reach the memory controller, dirty L2->L3 chains, BEAR writeback
+#: probes and page walks are frequent.  Captured from the scalar engine.
+MISSBOUND_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_missbound.json")
 
 try:
     import numpy  # noqa: F401
@@ -160,9 +164,20 @@ def test_sram_fast_path_matches_public_api():
 # ------------------------------------------------------------ golden determinism
 
 
-def load_goldens():
-    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+def load_goldens(path=GOLDEN_PATH):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)["cells"]
+
+
+def replay_golden(cell, mode):
+    config = SystemConfig.scaled_default(
+        scheme=cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"]
+    )
+    workload = get_workload(
+        cell["workload"], cell["num_cores"], scale=cell["scale"], seed=cell["seed"]
+    )
+    result = SimulationEngine(System(config, workload), mode=mode).run(cell["records_per_core"])
+    return json.loads(json.dumps(result.identity_dict()))
 
 
 @pytest.mark.parametrize("mode", TESTABLE_MODES)
@@ -177,14 +192,19 @@ def test_fast_path_matches_pre_refactor_goldens(cell, mode):
     makes float comparison exact (shortest-round-trip formatting).  The
     scalar, batch and numpy engines all replay the same golden cells.
     """
-    config = SystemConfig.scaled_default(
-        scheme=cell["scheme"], num_cores=cell["num_cores"], seed=cell["seed"]
-    )
-    workload = get_workload(
-        cell["workload"], cell["num_cores"], scale=cell["scale"], seed=cell["seed"]
-    )
-    result = SimulationEngine(System(config, workload), mode=mode).run(cell["records_per_core"])
-    assert json.loads(json.dumps(result.identity_dict())) == cell["result"]
+    assert replay_golden(cell, mode) == cell["result"]
+
+
+@pytest.mark.parametrize("mode", TESTABLE_MODES)
+@pytest.mark.parametrize(
+    "cell",
+    load_goldens(MISSBOUND_GOLDEN_PATH),
+    ids=lambda cell: f"{cell['scheme']}-{cell['workload']}",
+)
+def test_miss_path_matches_missbound_goldens(cell, mode):
+    """The LLC-miss path (hierarchy walk, controllers, schemes, DRAM timing)
+    stays bit-identical in every engine mode on the miss-bound cells."""
+    assert replay_golden(cell, mode) == cell["result"]
 
 
 # ------------------------------------------------------ cross-mode bit-identity

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from repro.cache.sram_cache import SramCache
 from repro.core.frequency import FrequencySetMetadata
 from repro.core.tag_buffer import TagBuffer, TagBufferFullError
-from repro.dram.channel import DramChannel
-from repro.dram.timing import DramTiming
+from repro.dram.device import DramDevice
 from repro.dramcache.footprint import FootprintPredictor
-from repro.sim.config import CacheLevelConfig, DramTimingConfig
+from repro.sim.config import CacheLevelConfig, DramConfig
 from repro.sim.stats import TrafficCategory, TrafficStats
 
 
@@ -76,14 +75,16 @@ def test_frequency_counters_stay_in_range(pages):
     )
 )
 def test_channel_time_never_goes_backwards(requests):
-    channel = DramChannel(0, DramTiming(DramTimingConfig(), 2.7))
+    device = DramDevice(DramConfig(name="off", capacity_bytes=1 << 20, num_channels=1), 2.7)
+    channel = device.channels[0]
     now = 0
     previous_busy = 0
     for advance, num_bytes, background in requests:
         now += advance
-        outcome = channel.access(now, num_bytes, background=background)
+        outcome = device.access(now, 0, num_bytes, TrafficCategory.HIT_DATA, background=background)
         assert outcome.latency >= 0
-        assert outcome.transfer_cycles >= 1
+        # The access occupied the channel for its transfer cycles.
+        assert channel.total_busy_cycles - previous_busy >= 1
         assert channel.busy_until >= 0
         assert channel.total_busy_cycles >= previous_busy
         previous_busy = channel.total_busy_cycles
