@@ -26,8 +26,8 @@ Two ablations of the replacement policy are selectable through
   and written on *every* DRAM-cache access (like CHOP);
 * ``"fbr-sample"`` — the full Banshee policy (default).
 
-The demand path stays hand-inlined (it is the simulator's hottest scheme
-path); everything stateful it dispatches to — residency, metadata traffic,
+The demand path stays hand-inlined in :meth:`BansheeCache.access` (it is
+the simulator's hottest scheme path); everything stateful it dispatches to — residency, metadata traffic,
 replacement decisions, fills/evictions, mapping coherence — lives in
 :mod:`repro.dramcache.components`.
 """
@@ -63,8 +63,8 @@ __all__ = ["METADATA_ACCESS_BYTES", "BansheeCache", "BansheePartition"]
 
 #: Shared read-only mapping used when a request carries none (unit tests and
 #: direct scheme drivers; the simulated System always attaches a mapping).
-#: ``_demand`` only reads ``cached``/``way``, so one module-level instance
-#: replaces a per-access fallback allocation.
+#: The demand path only reads ``cached``/``way``, so one module-level
+#: instance replaces a per-access fallback allocation.
 _DEFAULT_MAPPING = MappingInfo()
 
 
@@ -193,24 +193,25 @@ class BansheeCache(DramCacheScheme):
     # ------------------------------------------------------------------ access path
 
     def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        partition = self.partition_for(request.page_size)
+        partition = self._partitions.get(request.page_size)
+        if partition is None:
+            partition = self.partition_for(request.page_size)
         page = request.addr // partition.page_size
         if request.is_writeback:
             return self._writeback(now, request, page, partition, mc_id)
-        return self._demand(now, request, page, partition, mc_id)
 
-    def _demand(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int
-    ) -> AccessResult:
-        entry = self.coherence.lookup(mc_id, page)
+        # Demand access.  The tag buffer holds the authoritative mapping of
+        # any page remapped since the last PTE update; otherwise the request
+        # carries the PTE/TLB copy.
+        entry = self.tag_buffers[mc_id].lookup(page)
         if entry is not None:
-            carried_cached, carried_way = entry.cached, entry.way
+            carried_cached = entry.cached
         else:
             mapping = request.mapping if request.mapping is not None else _DEFAULT_MAPPING
-            carried_cached, carried_way = mapping.cached, mapping.way
+            carried_cached = mapping.cached
             # Allocate a clean (remap=0) entry so later dirty evictions of
             # this page avoid the in-DRAM tag probe (Section 3.3).
-            self.coherence.note_clean(mc_id, page, carried_cached, carried_way)
+            self.coherence.note_clean(mc_id, page, carried_cached, mapping.way)
 
         cached = page in partition.resident
         counters = self._counters
@@ -227,23 +228,27 @@ class BansheeCache(DramCacheScheme):
             else:
                 latency = self._in_access(now, request.addr, self.line_size, _HIT)
             if request.is_write:
-                partition.mark_dirty(page)
+                partition.dirty.add(page)
             counters["dram_cache_hits"] += 1
         else:
             latency = self._off_access(now, request.addr, self.line_size, _MISS)
             served_by = "off-package"
             counters["dram_cache_misses"] += 1
 
-        # The partition's sampler feeds the shared miss-rate window that
+        # Every partition's sampler feeds this shared miss-rate window, which
         # drives the adaptive sample rate (Section 4.2.1).
-        partition.sampler.record(cached)
-        self._run_replacement_policy(now + latency, request, page, partition, mc_id, cached)
+        self.miss_window.record(cached)
+        if partition.capacity_pages > 0:
+            if self.policy == "lru":
+                self._lru_policy(now + latency, request, page, partition, mc_id, cached)
+            elif partition.sampler.should_update():
+                self._fbr_sampled_update(now + latency, request, page, partition, mc_id)
         return self._result_of(latency, cached, served_by)
 
     def _writeback(
         self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int
     ) -> AccessResult:
-        entry = self.coherence.lookup(mc_id, page)
+        entry = self.tag_buffers[mc_id].lookup(page)
         if entry is not None:
             cached = entry.cached
             self._counters["writeback_tagbuffer_hits"] += 1
@@ -251,7 +256,7 @@ class BansheeCache(DramCacheScheme):
             # Without mapping information the controller must probe the tags
             # stored in the DRAM cache (Section 3.3).
             self.tag_probe.probe(now, request.addr)
-            cached = partition.is_resident(page)
+            cached = page in partition.resident
             self._counters["writeback_tag_probes"] += 1
         if cached:
             self.flows.writeback_to_cache(now, request.addr)
@@ -261,18 +266,6 @@ class BansheeCache(DramCacheScheme):
         return self._result_of(0, False, "off-package")
 
     # ------------------------------------------------------------------ replacement policies
-
-    def _run_replacement_policy(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int, hit: bool
-    ) -> None:
-        if partition.capacity_pages == 0:
-            return
-        if self.policy == "lru":
-            self._lru_policy(now, request, page, partition, mc_id, hit)
-            return
-        if not partition.sampler.should_update():
-            return
-        self._fbr_sampled_update(now, request, page, partition, mc_id)
 
     def _fbr_sampled_update(
         self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int

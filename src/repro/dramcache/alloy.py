@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import LINE_SIZE, DramCacheScheme, OsServices
 from repro.dramcache.components.stores import DirectMappedLineStore
 from repro.dramcache.components.traffic import TagProbe, TransferFlows
 from repro.memctrl.request import AccessResult, MemRequest
@@ -82,14 +82,15 @@ class AlloyCache(DramCacheScheme):
     # ------------------------------------------------------------------ access
 
     def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        line = request.line
+        line = request.addr // LINE_SIZE
         line_addr = line * self.line_size
-        if request.is_writeback:
-            return self._writeback(now, line, line_addr)
-
+        # The store's frame mapping and residency check, in line: they run
+        # for every LLC miss and writeback.
         store = self.store
-        frame = store.frame_of(line)
-        resident = store.hit(frame, line)
+        frame = line % store.num_frames
+        resident = store.tags.get(frame) == line
+        if request.is_writeback:
+            return self._writeback(now, frame, resident, line_addr)
 
         if resident:
             served_by = "in-package"
@@ -132,12 +133,12 @@ class AlloyCache(DramCacheScheme):
         self.flows.fill_metadata(now, line_addr)
         self._counters["fills"] += 1
 
-    def _writeback(self, now: int, line: int, line_addr: int) -> AccessResult:
+    def _writeback(self, now: int, frame: int, resident: bool, line_addr: int) -> AccessResult:
         # BEAR writeback probe: read only the tag first.
         self.probe.probe(now, line_addr)
-        if self.store.is_resident(line):
+        if resident:
             self.flows.writeback_to_cache(now, line_addr)
-            self.store.mark_dirty(self.store.frame_of(line))
+            self.store.mark_dirty(frame)
             self._counters["writeback_hits"] += 1
             return self._result_of(0, True, "in-package")
         self.flows.writeback_to_off(now, line_addr)

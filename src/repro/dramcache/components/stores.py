@@ -45,10 +45,6 @@ class DirectMappedLineStore:
         """True when ``line`` currently occupies its frame."""
         return self.tags.get(line % self.num_frames) == line
 
-    def hit(self, frame: int, line: int) -> bool:
-        """Residency check with the frame precomputed (the demand hot path)."""
-        return self.tags.get(frame) == line
-
     def is_dirty(self, frame: int) -> bool:
         """True when the line in ``frame`` has been modified."""
         return frame in self.dirty_frames

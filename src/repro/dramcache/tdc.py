@@ -73,10 +73,11 @@ class TaglessDramCache(DramCacheScheme):
         if request.is_writeback:
             return self._writeback(now, request, page)
 
-        if self.store.is_resident(page):
+        entries = self.store.entries
+        if page in entries:
             latency = self._in_access(now, request.addr, self.line_size, _HIT)
             if request.is_write:
-                self.store.mark_dirty(page)
+                entries[page] = True
             self.footprint.on_access(page, request.addr)
             self._counters["dram_cache_hits"] += 1
             return self._result_of(latency, True, "in-package")

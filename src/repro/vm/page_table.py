@@ -93,7 +93,7 @@ class PageTable:
 
     def translate(self, vaddr: int) -> PageTableEntry:
         """Translate ``vaddr``, allocating a frame on first touch."""
-        vpn = self.vpn_of(vaddr)
+        vpn = vaddr // self.page_size
         entry = self._entries.get(vpn)
         if entry is None:
             entry = self._allocate(vpn)

@@ -85,15 +85,10 @@ class Tlb:
         if len(self._entries) >= self.config.entries and pte.vpn not in self._entries:
             self._entries.popitem(last=False)
         # The entry is retained in the TLB and only built on a TLB miss (per
-        # page walk, not per record).  # repro: allow[hotpath-alloc]
-        entry = TlbEntry(
-            vpn=pte.vpn,
-            ppn=pte.ppn,
-            cached=pte.cached,
-            way=pte.way,
-            large=pte.large,
-            generation=pte.generation,
-        )
+        # page walk, not per record); positional arguments, as the walk runs
+        # for a large share of records in page-walk-heavy workloads.
+        # repro: allow[hotpath-alloc]
+        entry = TlbEntry(pte.vpn, pte.ppn, pte.cached, pte.way, pte.large, pte.generation)
         self._entries[pte.vpn] = entry
         self._entries.move_to_end(pte.vpn)
         self.version += 1
