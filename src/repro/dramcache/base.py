@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dram.device import DramDevice
 from repro.memctrl.request import AccessResult, MemRequest
 from repro.sim.config import SystemConfig
-from repro.sim.stats import StatsSet, TrafficCategory
+from repro.sim.stats import StatsSet
 from repro.util.rng import DeterministicRng
 
 LINE_SIZE = 64
