@@ -126,7 +126,9 @@ class CacheHierarchy:
             else:
                 # LRU keeps recency order, FIFO keeps insertion order; both
                 # evict the oldest entry, i.e. the front of the dict.
-                victim, victim_dirty = bucket.popitem(last=False)
+                # (``popitem(False)`` is ``popitem(False)``: passing the
+                # flag positionally skips keyword parsing on every eviction.)
+                victim, victim_dirty = bucket.popitem(False)
             l1.evictions += 1
             if victim_dirty:
                 l1.dirty_evictions += 1
@@ -137,7 +139,8 @@ class CacheHierarchy:
 
         outcome = self._scratch
         writebacks = outcome.writebacks
-        del writebacks[:]
+        if writebacks:
+            del writebacks[:]
         # Dirty L2 victims, in eviction order, still to be filled into the L3.
         l2_victims = self._l2_victims
         l2 = self.l2[core_id]
@@ -158,7 +161,7 @@ class CacheHierarchy:
                         victim = l2.random_victim(bucket)
                         victim_dirty = bucket.pop(victim)
                     else:
-                        victim, victim_dirty = bucket.popitem(last=False)
+                        victim, victim_dirty = bucket.popitem(False)
                     l2.evictions += 1
                     if victim_dirty:
                         l2.dirty_evictions += 1
@@ -185,7 +188,7 @@ class CacheHierarchy:
                     victim = l2.random_victim(bucket)
                     victim_dirty = bucket.pop(victim)
                 else:
-                    victim, victim_dirty = bucket.popitem(last=False)
+                    victim, victim_dirty = bucket.popitem(False)
                 l2.evictions += 1
                 if victim_dirty:
                     l2.dirty_evictions += 1
@@ -215,7 +218,7 @@ class CacheHierarchy:
                         victim = l3.random_victim(bucket)
                         victim_dirty = bucket.pop(victim)
                     else:
-                        victim, victim_dirty = bucket.popitem(last=False)
+                        victim, victim_dirty = bucket.popitem(False)
                     l3.evictions += 1
                     if victim_dirty:
                         l3.dirty_evictions += 1
@@ -246,7 +249,7 @@ class CacheHierarchy:
                 victim = l3.random_victim(bucket)
                 victim_dirty = bucket.pop(victim)
             else:
-                victim, victim_dirty = bucket.popitem(last=False)
+                victim, victim_dirty = bucket.popitem(False)
             l3.evictions += 1
             if victim_dirty:
                 l3.dirty_evictions += 1

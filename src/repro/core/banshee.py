@@ -235,8 +235,8 @@ class BansheeCache(DramCacheScheme):
             served_by = "off-package"
             counters["dram_cache_misses"] += 1
 
-        # Every partition's sampler feeds this shared miss-rate window, which
-        # drives the adaptive sample rate (Section 4.2.1).
+        # One miss-rate window, shared by every partition's sampler, drives
+        # the adaptive sample rate (Section 4.2.1).
         self.miss_window.record(cached)
         if partition.capacity_pages > 0:
             if self.policy == "lru":
@@ -260,7 +260,10 @@ class BansheeCache(DramCacheScheme):
             self._counters["writeback_tag_probes"] += 1
         if cached:
             self.flows.writeback_to_cache(now, request.addr)
-            partition.mark_dirty(page)
+            # PageDirectory.mark_dirty in line: a stale tag-buffer mapping can
+            # name a page that is no longer resident.
+            if page in partition.resident:
+                partition.dirty.add(page)
             return self._result_of(0, True, "in-package")
         self.flows.writeback_to_off(now, request.addr)
         return self._result_of(0, False, "off-package")

@@ -44,10 +44,6 @@ class AdaptiveSampler:
         self.always = always
         self._chance = rng.chance
 
-    def record(self, hit: bool) -> None:
-        """Feed one demand access into the miss-rate estimator."""
-        self.miss_window.record(hit)
-
     def should_update(self) -> bool:
         """Draw the sampling decision for the current access.
 
