@@ -27,9 +27,9 @@ Two ablations of the replacement policy are selectable through
 * ``"fbr-sample"`` — the full Banshee policy (default).
 
 The demand path stays hand-inlined in :meth:`BansheeCache.access` (it is
-the simulator's hottest scheme path); everything stateful it dispatches to — residency, metadata traffic,
-replacement decisions, fills/evictions, mapping coherence — lives in
-:mod:`repro.dramcache.components`.
+the simulator's hottest scheme path); everything stateful it dispatches to —
+residency, metadata traffic, replacement decisions, fills/evictions, mapping
+coherence — lives in :mod:`repro.dramcache.components`.
 """
 
 from __future__ import annotations

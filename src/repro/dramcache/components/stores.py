@@ -26,7 +26,11 @@ from repro.cache.replacement import ReplacementPolicy
 
 
 class DirectMappedLineStore:
-    """Direct-mapped, line-granularity residency (one tag per frame)."""
+    """Direct-mapped, line-granularity residency (one tag per frame).
+
+    ``line`` maps to frame ``line % num_frames``; Alloy computes that and
+    reads ``tags`` in line on its per-access path.
+    """
 
     __slots__ = ("num_frames", "tags", "dirty_frames")
 
@@ -36,10 +40,6 @@ class DirectMappedLineStore:
         self.num_frames = num_frames
         self.tags: Dict[int, int] = {}
         self.dirty_frames: Set[int] = set()
-
-    def frame_of(self, line: int) -> int:
-        """Frame that ``line`` maps to."""
-        return line % self.num_frames
 
     def is_resident(self, line: int) -> bool:
         """True when ``line`` currently occupies its frame."""

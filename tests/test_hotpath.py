@@ -9,6 +9,7 @@ Covers the three guarantees of the allocation-free record pipeline:
   (golden results captured from the original composed-API pipeline).
 """
 
+import dataclasses
 import json
 import os
 
@@ -115,25 +116,65 @@ def test_no_warmup_stats_unchanged():
 
 
 def _reference_walk(hierarchy, core_id, addr, is_write):
-    """The pre-refactor composed walk, via the allocating public APIs."""
-    outcome = hierarchy.access(core_id, addr, is_write)
-    return outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks]
+    """The hierarchy walk composed from each level's public SramCache API.
+
+    SramCache.access/fill are the per-cache reference model; the inlined
+    walk in CacheHierarchy.access_reused must reproduce this composition
+    exactly, including the order of random-policy RNG draws.
+    """
+    l1, l2, l3 = hierarchy.l1[core_id], hierarchy.l2[core_id], hierarchy.l3
+    writebacks = []
+
+    def absorb_in_l3(victim_addr):
+        evicted = l3.fill(victim_addr, dirty=True)
+        if evicted is not None and evicted.dirty:
+            writebacks.append((evicted.addr, True))
+
+    first = l1.access(addr, is_write)
+    if first.hit:
+        return "l1", False, writebacks
+    if first.eviction is not None and first.eviction.dirty:
+        evicted = l2.fill(first.eviction.addr, dirty=True)
+        if evicted is not None and evicted.dirty:
+            absorb_in_l3(evicted.addr)
+    second = l2.access(addr, is_write)
+    if second.hit:
+        return "l2", False, writebacks
+    if second.eviction is not None and second.eviction.dirty:
+        absorb_in_l3(second.eviction.addr)
+    third = l3.access(addr, is_write)
+    if third.hit:
+        return "l3", False, writebacks
+    if third.eviction is not None and third.eviction.dirty:
+        writebacks.append((third.eviction.addr, True))
+    return "memory", True, writebacks
 
 
 def test_hierarchy_fast_path_matches_public_api():
-    config = SystemConfig.tiny(num_cores=2)
-    slow = CacheHierarchy(config, rng=DeterministicRng(3))
-    fast = CacheHierarchy(config, rng=DeterministicRng(3))
-    rng = DeterministicRng(11)
-    for i in range(4000):
-        core_id = i % 2
-        addr = (rng.randint(0, 1 << 18)) * 16
-        is_write = rng.chance(0.3)
-        expected = _reference_walk(slow, core_id, addr, is_write)
-        outcome = fast.access_reused(core_id, addr, is_write)
-        got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
-        assert got == expected
-    assert fast.stats() == slow.stats()
+    base = SystemConfig.tiny(num_cores=2)
+    for policy in ("lru", "fifo", "random"):
+        config = dataclasses.replace(
+            base,
+            l1=dataclasses.replace(base.l1, replacement=policy),
+            l2=dataclasses.replace(base.l2, replacement=policy),
+            l3=dataclasses.replace(base.l3, replacement=policy),
+        )
+        slow = CacheHierarchy(config, rng=DeterministicRng(3))
+        fast = CacheHierarchy(config, rng=DeterministicRng(3))
+        rng = DeterministicRng(11)
+        for i in range(4000):
+            core_id = i % 2
+            addr = (rng.randint(0, 1 << 18)) * 16
+            is_write = rng.chance(0.3)
+            expected = _reference_walk(slow, core_id, addr, is_write)
+            outcome = fast.access_reused(core_id, addr, is_write)
+            got = (outcome.level, outcome.llc_miss, [(wb.addr, wb.dirty) for wb in outcome.writebacks])
+            assert got == expected, policy
+        assert fast.stats() == slow.stats(), policy
+        for fast_cache, slow_cache in zip(fast.l1 + fast.l2 + [fast.l3], slow.l1 + slow.l2 + [slow.l3]):
+            assert [list(bucket.items()) for bucket in fast_cache._sets] == \
+                [list(bucket.items()) for bucket in slow_cache._sets], policy
+            assert fast_cache.evictions == slow_cache.evictions, policy
 
 
 def test_sram_fast_path_matches_public_api():
