@@ -87,10 +87,6 @@ class PageTable:
 
     # ------------------------------------------------------------------ translation
 
-    def vpn_of(self, vaddr: int) -> int:
-        """Virtual page number containing ``vaddr``."""
-        return vaddr // self.page_size
-
     def translate(self, vaddr: int) -> PageTableEntry:
         """Translate ``vaddr``, allocating a frame on first touch."""
         vpn = vaddr // self.page_size
