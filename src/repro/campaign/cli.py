@@ -114,20 +114,17 @@ def build_parser() -> argparse.ArgumentParser:
                                  "it for cells sharing (config, workload, warmup)")
     run_parser.add_argument("--no-obs", action="store_true",
                             help="disable the event log / heartbeats under <store>/obs")
-    run_parser.add_argument("--no-supervise", action="store_true",
-                            help="with --workers >1: use the plain process pool instead "
-                                 "of the supervised executor (no retry/quarantine)")
     run_parser.add_argument("--retries", type=int, default=None, metavar="N",
-                            help="supervised mode: give up on a cell after N failed "
+                            help="with --workers >1: give up on a cell after N failed "
                                  "attempts (worker deaths/timeouts; default 3)")
     run_parser.add_argument("--backoff", type=float, default=None, metavar="SECONDS",
-                            help="supervised mode: base retry delay, doubled per failure "
+                            help="with --workers >1: base retry delay, doubled per failure "
                                  "(default 0.5s, capped at 30s)")
     run_parser.add_argument("--cell-timeout", type=float, default=None, metavar="SECONDS",
                             help="revoke and retry any cell attempt running longer than "
                                  "SECONDS (default: no deadline)")
     run_parser.add_argument("--stale-after", type=float, default=None, metavar="SECONDS",
-                            help="supervised mode: revoke a lease whose worker heartbeat "
+                            help="with --workers >1: revoke a lease whose worker heartbeat "
                                  "has not advanced in SECONDS (default %.0f)"
                                  % STALE_AFTER_SECONDS)
     run_parser.add_argument("--snapshot-every", type=int, default=DEFAULT_SNAPSHOT_EVERY,
@@ -296,7 +293,6 @@ def cmd_run(args: argparse.Namespace, stream: TextIO) -> int:
                               force=args.force, obs=obs,
                               checkpoint_warmup=args.checkpoint_warmup,
                               supervisor=_supervisor_config(args),
-                              supervise=not args.no_supervise,
                               snapshot_every=args.snapshot_every or None)
     except KeyboardInterrupt:
         # Serial path interrupts land here (the supervised executor converts

@@ -10,8 +10,8 @@ key, workload, wall seconds, ...).
 
 Writes are one ``write()`` call of one line on a file opened in append
 mode, so concurrent emitters — the campaign driver and every
-:class:`~repro.campaign.executor.ParallelExecutor` worker append to the
-same file — interleave at line granularity on POSIX and a truncated tail
+:class:`~repro.campaign.supervisor.SupervisedExecutor` worker append to
+the same file — interleave at line granularity on POSIX and a truncated tail
 (crash mid-write) costs at most one line, exactly like the result store.
 
 :class:`EventLog` is picklable (it holds only the path), which is what
@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.obs.heartbeat import HeartbeatWriter
@@ -56,8 +56,17 @@ EVENT_TYPES = frozenset({
     "cell_quarantined",  # supervisor: a cell exhausted its attempts (poisoned)
 })
 
-#: Fields every event carries.
+#: Fields every event carries.  ``pid`` is the *emitting* process, so an
+#: event about another process names it in its own field (``worker_pid``).
 REQUIRED_FIELDS = ("ts", "event", "pid")
+
+#: Further fields the supervisor's events must carry.
+EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "lease_granted": ("key", "cell", "worker", "worker_pid", "attempt"),
+    "lease_revoked": ("key", "cell", "worker", "attempt", "reason", "failures", "workers"),
+    "cell_retry": ("key", "cell", "attempt", "backoff_seconds", "reason"),
+    "cell_quarantined": ("key", "cell", "attempts", "reason"),
+}
 
 
 def make_event(event: str, **fields) -> Dict[str, object]:
@@ -86,6 +95,9 @@ def validate_event(record: object) -> Dict[str, object]:
         raise ValueError(f"event pid must be an integer, got {record['pid']!r}")
     if record["event"] not in EVENT_TYPES:
         raise ValueError(f"unknown event type {record['event']!r}")
+    for field_name in EVENT_FIELDS.get(str(record["event"]), ()):
+        if field_name not in record:
+            raise ValueError(f"{record['event']} event missing field {field_name!r}: {record}")
     return record
 
 

@@ -178,6 +178,11 @@ def test_event_validation_and_round_trip(tmp_path):
         validate_event({"event": "run_start"})  # missing ts/pid
     with pytest.raises(ValueError):
         validate_event({"ts": 1.0, "pid": 1, "event": "invented"})
+    lease = {"ts": 1.0, "pid": 1, "event": "lease_granted", "key": "k", "cell": "c",
+             "worker": "w0", "attempt": 1}
+    with pytest.raises(ValueError, match="worker_pid"):
+        validate_event(lease)
+    assert validate_event(dict(lease, worker_pid=2))["worker_pid"] == 2
 
 
 def test_read_events_skips_truncated_tail(tmp_path):

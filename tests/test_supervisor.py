@@ -42,8 +42,8 @@ from repro.obs.heartbeat import HeartbeatWriter, pid_alive, read_heartbeats, swe
 
 RUN = dict(records_per_core=600, num_cores=2, preset="tiny")
 
-#: Snappy supervisor for tests: near-instant backoff, fast polling.
-FAST = dict(backoff_base=0.01, backoff_cap=0.05, poll_interval=0.01)
+#: Snappy supervisor for tests: near-instant backoff.
+FAST = dict(backoff_base=0.01, backoff_cap=0.05)
 
 
 def tiny_spec(name="t", schemes=("banshee",), workloads=("gcc",), seeds=(1,), **kwargs):
