@@ -54,7 +54,6 @@ class AnalyzerConfig:
     hotpath_slots_classes: Tuple[str, ...] = (
         "repro.memctrl.request.MappingInfo",
         "repro.memctrl.request.MemRequest",
-        "repro.memctrl.request.AccessResult",
         "repro.cache.hierarchy.HierarchyAccess",
         "repro.cache.sram_cache.Eviction",
         "repro.cache.sram_cache.CacheAccessResult",

@@ -129,7 +129,6 @@ class CacheHierarchy:
                 # (``popitem(False)`` is ``popitem(False)``: passing the
                 # flag positionally skips keyword parsing on every eviction.)
                 victim, victim_dirty = bucket.popitem(False)
-            l1.evictions += 1
             if victim_dirty:
                 l1.dirty_evictions += 1
                 l1_victim = victim << l1._line_bits
@@ -162,7 +161,6 @@ class CacheHierarchy:
                         victim_dirty = bucket.pop(victim)
                     else:
                         victim, victim_dirty = bucket.popitem(False)
-                    l2.evictions += 1
                     if victim_dirty:
                         l2.dirty_evictions += 1
                         l2_victims.append(victim << l2_bits)
@@ -189,7 +187,6 @@ class CacheHierarchy:
                     victim_dirty = bucket.pop(victim)
                 else:
                     victim, victim_dirty = bucket.popitem(False)
-                l2.evictions += 1
                 if victim_dirty:
                     l2.dirty_evictions += 1
                     l2_victims.append(victim << l2_bits)
@@ -219,7 +216,6 @@ class CacheHierarchy:
                         victim_dirty = bucket.pop(victim)
                     else:
                         victim, victim_dirty = bucket.popitem(False)
-                    l3.evictions += 1
                     if victim_dirty:
                         l3.dirty_evictions += 1
                         eviction = wb_pool[len(writebacks)]
@@ -250,7 +246,6 @@ class CacheHierarchy:
                 victim_dirty = bucket.pop(victim)
             else:
                 victim, victim_dirty = bucket.popitem(False)
-            l3.evictions += 1
             if victim_dirty:
                 l3.dirty_evictions += 1
                 eviction = wb_pool[len(writebacks)]

@@ -66,7 +66,6 @@ class SramCache:
 
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.dirty_evictions = 0
 
         # Victim of the most recent ``access_fast``/``fill_fast`` call.
@@ -176,7 +175,6 @@ class SramCache:
                 victim, victim_dirty = bucket.popitem(last=False)
             self.victim_addr = victim << self._line_bits
             self.victim_dirty = victim_dirty
-            self.evictions += 1
             if victim_dirty:
                 self.dirty_evictions += 1
         else:

@@ -11,8 +11,8 @@ Banshee combines:
 * a frequency-based replacement policy with sampled counter updates and a
   replacement threshold that only brings in pages whose expected benefit
   outweighs the replacement traffic (Algorithm 1, as
-  :class:`~repro.dramcache.components.replacement.SampledFrequencyPolicy`
-  gated by :class:`~repro.dramcache.components.replacement.AdaptiveSampler`);
+  :class:`~repro.dramcache.components.replacement.SampledFrequencyPolicy`,
+  run for a sample of the accesses whose rate follows the recent miss rate);
 * large-page (2 MB) support via DRAM-cache partitioning
   (:mod:`repro.core.large_pages`);
 * an optional BATMAN-style bandwidth balancer (Section 5.4.2).
@@ -26,10 +26,12 @@ Two ablations of the replacement policy are selectable through
   and written on *every* DRAM-cache access (like CHOP);
 * ``"fbr-sample"`` — the full Banshee policy (default).
 
-The demand path stays hand-inlined in :meth:`BansheeCache.access` (it is
-the simulator's hottest scheme path); everything stateful it dispatches to —
-residency, metadata traffic, replacement decisions, fills/evictions, mapping
-coherence — lives in :mod:`repro.dramcache.components`.
+:meth:`BansheeCache.access` runs for every LLC miss and writeback, so
+everything a request does is written out in it: the tag-buffer lookup, the
+writeback tag probe, the demand and writeback DRAM accesses, the miss-rate
+window update and the sampling draw.  What runs only when a request is
+sampled — the frequency-counter update, replacements, PTE remaps — lives in
+:mod:`repro.dramcache.components`.
 """
 
 from __future__ import annotations
@@ -41,23 +43,24 @@ from repro.core.bandwidth_balancer import BandwidthBalancer
 from repro.core.frequency import INVALID_PAGE, FrequencySetMetadata
 from repro.core.large_pages import PartitionPlan, plan_partitions
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.coherence import TagBufferCoherence
-from repro.dramcache.components.replacement import AdaptiveSampler, SampledFrequencyPolicy
+from repro.dramcache.components.replacement import SampledFrequencyPolicy
 from repro.dramcache.components.stores import PageDirectory
 from repro.dramcache.components.traffic import (
     METADATA_ACCESS_BYTES,
     MetadataChannel,
-    TagProbe,
     TransferFlows,
 )
-from repro.memctrl.request import AccessResult, MappingInfo, MemRequest
+from repro.memctrl.request import MappingInfo, MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import MissRateWindow, TrafficCategory
 from repro.util.rng import DeterministicRng
 
 _HIT = TrafficCategory.HIT_DATA
 _MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_WB = TrafficCategory.WRITEBACK
 
 __all__ = ["METADATA_ACCESS_BYTES", "BansheeCache", "BansheePartition"]
 
@@ -93,10 +96,9 @@ class BansheePartition:
         self.lru = LruPolicy(self.num_sets, self.ways) if policy == "lru" else None
         # Reused validity vector for the LRU ablation's victim search.
         self._valid_scratch: List[bool] = [False] * self.ways
-        # Wired by BansheeCache.__init__ (they need the scheme's shared
-        # miss-rate window, RNG and stats); kept on the partition so the
-        # demand hot path reaches them without a per-access dict lookup.
-        self.sampler: Optional[AdaptiveSampler] = None
+        # Wired by BansheeCache.__init__ (it needs the scheme's RNG and
+        # stats); kept on the partition so the demand hot path reaches it
+        # without a per-access dict lookup.
         self.fbr: Optional[SampledFrequencyPolicy] = None
 
     def set_of(self, page: int) -> int:
@@ -151,16 +153,17 @@ class BansheeCache(DramCacheScheme):
         self.tag_buffers = self.coherence.tag_buffers
         self.pte_updater = self.coherence.pte_updater
         self.metadata_channel = MetadataChannel(self)
-        self.tag_probe = TagProbe(self)
         self.flows = TransferFlows(self)
+        # One miss-rate window, shared by every partition, drives the
+        # adaptive sample rate (Section 4.2.1): rate = recent miss rate x the
+        # partition's sampling coefficient.  The ``fbr-nosample`` ablation
+        # samples every access.
         self.miss_window = MissRateWindow(window=2048, initial_rate=1.0)
+        self._sample_always = self.policy == "fbr-nosample"
+        # DeterministicRng.chance's draw, hoisted for the per-access sampling
+        # decision.
+        self._draw = self.rng.generator.random
         for partition in self._partitions.values():
-            partition.sampler = AdaptiveSampler(
-                self.miss_window,
-                partition.sampling_coefficient,
-                self.rng,
-                always=(self.policy == "fbr-nosample"),
-            )
             partition.fbr = SampledFrequencyPolicy(
                 partition.metadata, partition.threshold, self.rng, self.stats
             )
@@ -192,81 +195,99 @@ class BansheeCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access path
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
         partition = self._partitions.get(request.page_size)
         if partition is None:
             partition = self.partition_for(request.page_size)
-        page = request.addr // partition.page_size
-        if request.is_writeback:
-            return self._writeback(now, request, page, partition, mc_id)
+        addr = request.addr
+        page = addr // partition.page_size
+        counters = self._counters
+        # TagBuffer.lookup in line (set index, LRU tick).  The tag buffer
+        # holds the authoritative mapping of any page remapped since the
+        # last PTE update.
+        buffer = self.tag_buffers[mc_id]
+        entry = buffer._sets[page & buffer._set_mask].get(page)
+        if entry is not None:
+            buffer._clock += 1
+            entry.last_use = buffer._clock
 
-        # Demand access.  The tag buffer holds the authoritative mapping of
-        # any page remapped since the last PTE update; otherwise the request
-        # carries the PTE/TLB copy.
-        entry = self.tag_buffers[mc_id].lookup(page)
+        if request.is_writeback:
+            if entry is not None:
+                cached = entry.cached
+                counters["writeback_tagbuffer_hits"] += 1
+            else:
+                # Without mapping information the controller must probe the
+                # tags stored in the DRAM cache (Section 3.3).
+                self._in_access(now, addr, TAG_ACCESS_BYTES, _TAG, True)
+                cached = page in partition.resident
+                counters["writeback_tag_probes"] += 1
+            if cached:
+                self._in_access(now, addr, self.line_size, _WB, True)
+                # PageDirectory.mark_dirty in line: a stale tag-buffer mapping
+                # can name a page that is no longer resident.
+                if page in partition.resident:
+                    partition.dirty.add(page)
+            else:
+                self._off_access(now, addr, self.line_size, _WB, True)
+            return 0
+
+        # Demand access: without a tag-buffer entry the request carries the
+        # PTE/TLB copy of the mapping.
         if entry is not None:
             carried_cached = entry.cached
         else:
             mapping = request.mapping if request.mapping is not None else _DEFAULT_MAPPING
             carried_cached = mapping.cached
             # Allocate a clean (remap=0) entry so later dirty evictions of
-            # this page avoid the in-DRAM tag probe (Section 3.3).
-            self.coherence.note_clean(mc_id, page, carried_cached, mapping.way)
+            # this page avoid the in-DRAM tag probe (Section 3.3).  Clean
+            # entries are droppable, so the insert never raises.
+            buffer.insert(page, carried_cached, mapping.way, False)
 
         cached = page in partition.resident
-        counters = self._counters
         counters["mapping_consistent" if cached == carried_cached else "mapping_stale"] += 1
-
         if cached:
-            served_by = "in-package"
             if self.balancer is not None and page not in partition.dirty and self.balancer.should_redirect(
                 self.rng.random()
             ):
-                latency = self._off_access(now, request.addr, self.line_size, _HIT)
-                served_by = "off-package"
+                latency = self._off_access(now, addr, self.line_size, _HIT)
                 counters["balanced_hits"] += 1
             else:
-                latency = self._in_access(now, request.addr, self.line_size, _HIT)
+                latency = self._in_access(now, addr, self.line_size, _HIT)
             if request.is_write:
                 partition.dirty.add(page)
             counters["dram_cache_hits"] += 1
         else:
-            latency = self._off_access(now, request.addr, self.line_size, _MISS)
-            served_by = "off-package"
+            latency = self._off_access(now, addr, self.line_size, _MISS)
             counters["dram_cache_misses"] += 1
 
-        # One miss-rate window, shared by every partition's sampler, drives
-        # the adaptive sample rate (Section 4.2.1).
-        self.miss_window.record(cached)
+        # MissRateWindow.record in line.
+        window = self.miss_window
+        if cached:
+            window._hits += 1
+        else:
+            window._misses += 1
+        total = window._hits + window._misses
+        if total >= window.window:
+            window._rate = window._misses / total
+            window._hits = 0
+            window._misses = 0
+            total = 0
         if partition.capacity_pages > 0:
             if self.policy == "lru":
                 self._lru_policy(now + latency, request, page, partition, mc_id, cached)
-            elif partition.sampler.should_update():
+                return latency
+            if self._sample_always:
+                probability = 1.0
+            else:
+                # MissRateWindow.rate in line, times the sampling coefficient.
+                rate = window._rate
+                if total > 0 and total >= window.window // 4:
+                    rate = 0.5 * (rate + window._misses / total)
+                probability = rate * partition.sampling_coefficient
+            # DeterministicRng.chance in line: no draw at probability 0 or 1.
+            if probability >= 1.0 or (probability > 0.0 and self._draw() < probability):
                 self._fbr_sampled_update(now + latency, request, page, partition, mc_id)
-        return self._result_of(latency, cached, served_by)
-
-    def _writeback(
-        self, now: int, request: MemRequest, page: int, partition: BansheePartition, mc_id: int
-    ) -> AccessResult:
-        entry = self.tag_buffers[mc_id].lookup(page)
-        if entry is not None:
-            cached = entry.cached
-            self._counters["writeback_tagbuffer_hits"] += 1
-        else:
-            # Without mapping information the controller must probe the tags
-            # stored in the DRAM cache (Section 3.3).
-            self.tag_probe.probe(now, request.addr)
-            cached = page in partition.resident
-            self._counters["writeback_tag_probes"] += 1
-        if cached:
-            self.flows.writeback_to_cache(now, request.addr)
-            # PageDirectory.mark_dirty in line: a stale tag-buffer mapping can
-            # name a page that is no longer resident.
-            if page in partition.resident:
-                partition.dirty.add(page)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")
+        return latency
 
     # ------------------------------------------------------------------ replacement policies
 

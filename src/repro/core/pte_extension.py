@@ -38,11 +38,12 @@ class PteUpdateBatcher:
     def needs_flush(self, threshold: float) -> bool:
         """True if any tag buffer's remap occupancy reached ``threshold``.
 
-        Checked after every recorded remap, so a plain loop (a generator
-        expression here would allocate on the demand hot path).
+        Checked after every recorded remap, so a plain loop over the
+        buffers' maintained remap counts (``TagBuffer.remap_fraction`` in
+        line; a generator expression would allocate on the demand path).
         """
         for buffer in self.tag_buffers:
-            if buffer.remap_fraction >= threshold:
+            if buffer._remap_count / buffer.num_entries >= threshold:
                 return True
         return False
 

@@ -69,23 +69,19 @@ class TagBuffer:
         self._set_mask = num_sets - 1
         # LRU clock: bumped and stamped into an entry on every use.
         self._clock = 0
-        self.lookups = 0
-        self.hits = 0
-        self.inserts = 0
-        self.remap_inserts = 0
+        # Entries with the remap bit set, kept by ``insert`` and
+        # ``clear_remap_bits``: the flush check reads it after every remap.
+        self._remap_count = 0
 
     # ------------------------------------------------------------------ operations
 
     def lookup(self, page: int) -> Optional[TagBufferEntry]:
         """Return the entry for ``page`` if present (updates LRU state).
 
-        Runs on every Banshee demand access and writeback, so the set index
-        and the LRU clock tick are computed in line.
+        Banshee's access path runs a copy of this in line.
         """
-        self.lookups += 1
         entry = self._sets[page & self._set_mask].get(page)
         if entry is not None:
-            self.hits += 1
             self._clock += 1
             entry.last_use = self._clock
         return entry
@@ -103,11 +99,11 @@ class TagBuffer:
         if existing is not None:
             existing.cached = cached
             existing.way = way
-            existing.remap = existing.remap or remap
+            if remap and not existing.remap:
+                existing.remap = True
+                self._remap_count += 1
             self._clock += 1
             existing.last_use = self._clock
-            if remap:
-                self.remap_inserts += 1
             return
 
         if len(bucket) >= self.num_ways:
@@ -123,9 +119,8 @@ class TagBuffer:
         # The entry is retained in the buffer until evicted or flushed, so it
         # cannot come from a reuse pool.  # repro: allow[hotpath-alloc]
         bucket[page] = TagBufferEntry(page, cached, way, remap, self._clock)
-        self.inserts += 1
         if remap:
-            self.remap_inserts += 1
+            self._remap_count += 1
 
     def _pick_victim(self, bucket: Dict[int, TagBufferEntry]) -> Optional[TagBufferEntry]:
         """LRU among non-remap entries (remap entries are not evictable).
@@ -166,6 +161,7 @@ class TagBuffer:
                 if entry.remap:
                     entry.remap = False
                     cleared += 1
+        self._remap_count = 0
         return cleared
 
     # ------------------------------------------------------------------ introspection
@@ -178,12 +174,12 @@ class TagBuffer:
     @property
     def remap_count(self) -> int:
         """Number of entries whose mapping is newer than the PTEs."""
-        return sum(1 for bucket in self._sets for entry in bucket.values() if entry.remap)
+        return self._remap_count
 
     @property
     def remap_fraction(self) -> float:
         """Fraction of total capacity occupied by remap entries."""
-        return self.remap_count / self.num_entries
+        return self._remap_count / self.num_entries
 
     def __contains__(self, page: int) -> bool:
         return page in self._sets[page & self._set_mask]

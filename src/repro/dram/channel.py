@@ -35,7 +35,6 @@ class DramChannel:
         "channel_id",
         "busy_until",
         "total_busy_cycles",
-        "total_requests",
         "background_backlog",
         "last_row",
     )
@@ -45,7 +44,6 @@ class DramChannel:
         #: Cycle at which the channel finishes its committed transfers.
         self.busy_until = 0
         self.total_busy_cycles = 0
-        self.total_requests = 0
         #: Buffered background work not yet charged to the channel timeline.
         self.background_backlog = 0
         #: Row left open by the previous access (-1: none yet).
@@ -55,6 +53,5 @@ class DramChannel:
         """Clear all dynamic state (used between simulation phases)."""
         self.busy_until = 0
         self.total_busy_cycles = 0
-        self.total_requests = 0
         self.background_backlog = 0
         self.last_row = -1

@@ -111,7 +111,6 @@ class DramDevice:
             busy += drained
             backlog -= drained
         channel.total_busy_cycles += transfer
-        channel.total_requests += 1
         traffic = self.traffic
         traffic._bytes[category] += num_bytes
         traffic._accesses += 1

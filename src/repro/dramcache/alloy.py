@@ -19,11 +19,10 @@ The paper disables the original Alloy optimisation of issuing the in- and
 off-package accesses in parallel on a miss (it hurts when off-package
 bandwidth is scarce); we follow that and serialise them.
 
-Mechanically the scheme is a composition of a
-:class:`~repro.dramcache.components.stores.DirectMappedLineStore` (residency),
-a :class:`~repro.dramcache.components.traffic.TagProbe` (TAD reads and the
-BEAR writeback probe) and :class:`~repro.dramcache.components.traffic.TransferFlows`
-(fills and dirty-victim writebacks).
+Residency is a :class:`~repro.dramcache.components.stores.DirectMappedLineStore`.
+Every DRAM access of a request — the TAD read, the BEAR probe, the demand
+fetch, the fill and a dirty victim's writeback — is issued in line from
+:meth:`AlloyCache.access`, which runs for every LLC miss and writeback.
 """
 
 from __future__ import annotations
@@ -31,15 +30,18 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dram.device import DramDevice
-from repro.dramcache.base import LINE_SIZE, DramCacheScheme, OsServices
+from repro.dramcache.base import LINE_SIZE, TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.stores import DirectMappedLineStore
-from repro.dramcache.components.traffic import TagProbe, TransferFlows
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_HIT = TrafficCategory.HIT_DATA
 _MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_REPL = TrafficCategory.REPLACEMENT
+_WB = TrafficCategory.WRITEBACK
 
 
 class AlloyCache(DramCacheScheme):
@@ -63,8 +65,8 @@ class AlloyCache(DramCacheScheme):
         self.store = DirectMappedLineStore(config.in_package_dram.capacity_bytes // self.line_size)
         self.num_frames = self.store.num_frames
         self.fill_probability = config.dram_cache.alloy_replacement_probability
-        self.probe = TagProbe(self)
-        self.flows = TransferFlows(self)
+        # DeterministicRng.chance's draw, hoisted for the per-miss fill decision.
+        self._draw = self.rng.generator.random
         self.balancer = None
         if config.dram_cache.bandwidth_balance:
             from repro.core.bandwidth_balancer import BandwidthBalancer
@@ -81,66 +83,73 @@ class AlloyCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
         line = request.addr // LINE_SIZE
-        line_addr = line * self.line_size
-        # The store's frame mapping and residency check, in line: they run
-        # for every LLC miss and writeback.
+        line_size = self.line_size
+        line_addr = line * line_size
+        in_access = self._in_access
+        counters = self._counters
         store = self.store
         frame = line % store.num_frames
-        resident = store.tags.get(frame) == line
+        tags = store.tags
+        dirty_frames = store.dirty_frames
+        resident = tags.get(frame) == line
         if request.is_writeback:
-            return self._writeback(now, frame, resident, line_addr)
+            # BEAR writeback probe: read only the tag first.
+            in_access(now, line_addr, TAG_ACCESS_BYTES, _TAG, True)
+            if resident:
+                in_access(now, line_addr, line_size, _WB, True)
+                dirty_frames.add(frame)
+                counters["writeback_hits"] += 1
+            else:
+                self._off_access(now, line_addr, line_size, _WB, True)
+                counters["writeback_misses"] += 1
+            return 0
 
+        is_write = request.is_write
         if resident:
-            served_by = "in-package"
             if (
                 self.balancer is not None
-                and not request.is_write
-                and not store.is_dirty(frame)
+                and not is_write
+                and frame not in dirty_frames
                 and self.balancer.should_redirect(self.rng.random())
             ):
                 # Bandwidth balancing (Section 5.4.2): serve this clean hit
                 # from off-package DRAM to relieve the in-package channels.
-                latency = self._off_access(now, line_addr, self.line_size, TrafficCategory.HIT_DATA)
-                served_by = "off-package"
+                latency = self._off_access(now, line_addr, line_size, _HIT)
             else:
                 # One TAD read returns tag + data: 96 B on the wire.
-                latency = self.probe.hit_read(now, line_addr)
-            if request.is_write:
-                store.mark_dirty(frame)
-            self._counters["dram_cache_hits"] += 1
-            return self._result_of(latency, True, served_by)
+                latency = in_access(now, line_addr, line_size, _HIT)
+                in_access(now, line_addr, TAG_ACCESS_BYTES, _TAG, True)
+            if is_write:
+                dirty_frames.add(frame)
+            counters["dram_cache_hits"] += 1
+            return latency
 
         # Miss: the speculative TAD read is wasted, then fetch from off-package.
-        spec_latency = self.probe.speculative_read(now, line_addr)
-        off_latency = self._off_access(now + spec_latency, line_addr, self.line_size, _MISS)
-        latency = spec_latency + off_latency
-        self._counters["dram_cache_misses"] += 1
+        latency = in_access(now, line_addr, line_size, _MISS)
+        in_access(now, line_addr, TAG_ACCESS_BYTES, _TAG, True)
+        latency += self._off_access(now + latency, line_addr, line_size, _MISS)
+        counters["dram_cache_misses"] += 1
 
-        if self.rng.chance(self.fill_probability):
-            self._fill(now + latency, frame, line, line_addr, request.is_write)
-        return self._result_of(latency, False, "off-package")
-
-    def _fill(self, now: int, frame: int, line: int, line_addr: int, dirty: bool) -> None:
-        victim, victim_dirty = self.store.install(frame, line, dirty)
-        if victim_dirty:
-            # The evicted line is dirty: it must be written to off-package DRAM.
-            self.flows.evict_dirty_to_off(now, victim * self.line_size, self.line_size)
-            self._counters["dirty_victim_writebacks"] += 1
-        # Fill writes the 64 B line and its tag into the TAD frame.
-        self.flows.fill_in_only(now, line_addr, self.line_size)
-        self.flows.fill_metadata(now, line_addr)
-        self._counters["fills"] += 1
-
-    def _writeback(self, now: int, frame: int, resident: bool, line_addr: int) -> AccessResult:
-        # BEAR writeback probe: read only the tag first.
-        self.probe.probe(now, line_addr)
-        if resident:
-            self.flows.writeback_to_cache(now, line_addr)
-            self.store.mark_dirty(frame)
-            self._counters["writeback_hits"] += 1
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, line_addr)
-        self._counters["writeback_misses"] += 1
-        return self._result_of(0, False, "off-package")
+        # Stochastic fill (DeterministicRng.chance in line: no draw at
+        # probability 0 or 1).
+        probability = self.fill_probability
+        if probability >= 1.0 or (probability > 0.0 and self._draw() < probability):
+            fill_at = now + latency
+            if frame in dirty_frames:
+                # The evicted line is dirty: it must be written to off-package DRAM.
+                victim_addr = tags[frame] * line_size
+                in_access(fill_at, victim_addr, line_size, _REPL, True)
+                self._off_access(fill_at, victim_addr, line_size, _WB, True)
+                counters["dirty_victim_writebacks"] += 1
+            if is_write:
+                dirty_frames.add(frame)
+            else:
+                dirty_frames.discard(frame)
+            tags[frame] = line
+            # The fill writes the 64 B line and its tag into the TAD frame.
+            in_access(fill_at, line_addr, line_size, _REPL, True)
+            in_access(fill_at, line_addr, TAG_ACCESS_BYTES, _REPL, True)
+            counters["fills"] += 1
+        return latency

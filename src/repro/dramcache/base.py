@@ -7,7 +7,8 @@ request that misses the LLC (demand access or dirty writeback), is to:
 * decide whether the request hits in the in-package DRAM cache,
 * issue the DRAM accesses the design would perform (data, tags, metadata,
   replacement traffic), with the correct byte counts and categories, and
-* return the latency seen by the requesting core.
+* return the latency seen by the requesting core, as an ``int`` (0 for a
+  writeback, which no core waits for).
 
 Traffic for operations that are off the critical path (fills, writebacks,
 replacement moves) is still issued against the DRAM channels — it consumes
@@ -21,7 +22,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Tuple
 
 from repro.dram.device import DramDevice
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import StatsSet
 from repro.util.rng import DeterministicRng
@@ -79,23 +80,24 @@ class DramCacheScheme(ABC):
         # Bound device-access methods, hoisted once: every LLC miss issues
         # one or more DRAM accesses, which schemes and components call
         # directly as ``self._in_access(now, addr, num_bytes, category)``
-        # (``background=True`` for transfers off the critical path).
+        # (a positional ``True`` fifth argument for transfers off the
+        # critical path).
         self._in_access = self.in_dram.access_latency
         self._off_access = self.off_dram.access_latency
         # The counters behind ``stats``, for in-line increments on the
         # per-access path (``self._counters["fills"] += 1``).
         self._counters = self.stats._counters
-        # Preallocated result record, returned by ``_result_of``: the System
-        # reads ``latency`` synchronously before issuing the next request and
-        # never retains a result, so one mutated-in-place instance per scheme
-        # replaces an AccessResult allocation per LLC miss and writeback.
-        self._result = AccessResult(latency=0)
 
     # ------------------------------------------------------------------ interface
 
     @abstractmethod
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        """Handle one LLC miss or writeback arriving at controller ``mc_id``."""
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
+        """Handle one LLC miss or writeback at controller ``mc_id``; returns its latency.
+
+        Whether the request hit is visible in the scheme's counters
+        (``dram_cache_hits``/``dram_cache_misses``, ``writeback_*``) and in
+        the devices' traffic categories, not in the return value.
+        """
 
     def set_os_services(self, os_services: OsServices) -> None:
         """Install the system's OS-callback implementation."""
@@ -111,23 +113,7 @@ class DramCacheScheme(ABC):
         """Ground-truth residency query used by tests; default: never resident."""
         return False
 
-    # ------------------------------------------------------------------ helpers
-
-    def _result_of(
-        self, latency: int, dram_cache_hit: Optional[bool], served_by: str
-    ) -> AccessResult:
-        """Fill and return the scheme's reused :class:`AccessResult`.
-
-        The returned object is only valid until the next ``access`` call on
-        this scheme; callers that need to retain a result must copy its
-        fields (the hot path — :meth:`repro.sim.system.System.process_record`
-        — reads ``latency`` immediately and drops the reference).
-        """
-        result = self._result
-        result.latency = latency
-        result.dram_cache_hit = dram_cache_hit
-        result.served_by = served_by
-        return result
+    # ------------------------------------------------------------------ statistics
 
     @property
     def demand_accesses(self) -> int:

@@ -10,7 +10,7 @@ all traffic is forced onto the in-package channels.
 from __future__ import annotations
 
 from repro.dramcache.base import DramCacheScheme
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.stats import TrafficCategory
 
 _HIT = TrafficCategory.HIT_DATA
@@ -22,13 +22,12 @@ class CacheOnly(DramCacheScheme):
 
     name = "cacheonly"
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
         if request.is_writeback:
             self._in_access(now, request.addr, self.line_size, _WRITEBACK, True)
-            return self._result_of(0, None, "in-package")
-        latency = self._in_access(now, request.addr, self.line_size, _HIT)
+            return 0
         self._counters["dram_cache_hits"] += 1
-        return self._result_of(latency, True, "in-package")
+        return self._in_access(now, request.addr, self.line_size, _HIT)
 
     def is_resident(self, page: int) -> bool:
         return True

@@ -5,11 +5,10 @@ composition of a small number of recurring mechanisms:
 
 * a **residency store** tracking which lines/pages are in the in-package
   DRAM and which of them are dirty (:mod:`.stores`);
-* **probe traffic charging** for tags and per-set metadata kept in the
-  in-package DRAM (:mod:`.traffic`);
-* **fill / evict / writeback flows** that move data between the two DRAM
-  devices with the correct byte counts and traffic categories
-  (:mod:`.traffic`);
+* **off-path traffic**: the per-set metadata record and the page fill /
+  evict / writeback / migration flows between the two DRAM devices
+  (:mod:`.traffic`) — the accesses every request makes are written out in
+  the schemes' ``access`` instead;
 * a **replacement policy** deciding what to insert and what to evict
   (:mod:`.replacement`, plus :mod:`repro.cache.replacement` for LRU/FIFO);
 * **mapping coherence** for the PTE/TLB-tracked schemes
@@ -26,7 +25,7 @@ per-access hot path.
 """
 
 from repro.dramcache.components.coherence import TagBufferCoherence
-from repro.dramcache.components.replacement import AdaptiveSampler, SampledFrequencyPolicy
+from repro.dramcache.components.replacement import SampledFrequencyPolicy
 from repro.dramcache.components.stores import (
     DirectMappedLineStore,
     FifoPageStore,
@@ -37,12 +36,10 @@ from repro.dramcache.components.stores import (
 from repro.dramcache.components.traffic import (
     METADATA_ACCESS_BYTES,
     MetadataChannel,
-    TagProbe,
     TransferFlows,
 )
 
 __all__ = [
-    "AdaptiveSampler",
     "DirectMappedLineStore",
     "FifoPageStore",
     "METADATA_ACCESS_BYTES",
@@ -52,6 +49,5 @@ __all__ = [
     "SampledFrequencyPolicy",
     "SetAssociativePageStore",
     "TagBufferCoherence",
-    "TagProbe",
     "TransferFlows",
 ]

@@ -5,10 +5,10 @@ therefore means updating PTEs and shooting down TLBs.  Doing that per
 replacement would be ruinous, so remaps accumulate in small per-memory-
 controller tag buffers and are applied in batches by a software routine
 (Sections 3.1–3.4).  :class:`TagBufferCoherence` packages that machinery —
-the buffers, the update batcher and the flush policy — behind three
-operations: ``note_clean``, ``record_remap`` and ``flush``.  Lookups go
-straight to ``tag_buffers[mc_id].lookup(page)``: they run on every demand
-access and writeback, where a forwarding call is measurable.
+the buffers, the update batcher and the flush policy — behind two
+operations: ``record_remap`` and ``flush``.  Lookups and clean inserts go
+straight to ``tag_buffers[mc_id]``: they run on every demand access and
+writeback, where a forwarding call is measurable.
 
 Schemes that keep their mapping in the PTEs (Banshee today; any future
 PTE-tracked variant) compose this instead of hand-wiring buffers, batcher
@@ -55,19 +55,6 @@ class TagBufferCoherence:
     def controller_of(self, page: int) -> int:
         """The memory controller (and therefore tag buffer) owning ``page``."""
         return page % len(self.tag_buffers)
-
-    # ------------------------------------------------------------------ lookups
-
-    def note_clean(self, mc_id: int, page: int, cached: bool, way: int) -> None:
-        """Cache a clean (remap=0) mapping so later writebacks skip the tag probe.
-
-        Clean entries are droppable, so a full buffer silently skips the
-        insert instead of forcing a flush (Section 3.3).
-        """
-        try:
-            self.tag_buffers[mc_id].insert(page, cached, way, remap=False)
-        except TagBufferFullError:  # pragma: no cover - clean inserts never raise
-            pass
 
     # ------------------------------------------------------------------ remaps
 

@@ -1,15 +1,13 @@
 """Frequency-based replacement with sampled counter updates (Algorithm 1).
 
-Banshee's replacement policy is split into two composable parts:
-
-* :class:`AdaptiveSampler` — the decision of *whether* to run the policy at
-  all for a given access: sample rate = recent miss rate × sampling
-  coefficient (Section 4.2.1), so a cache that is already working well stops
-  paying metadata traffic;
-* :class:`SampledFrequencyPolicy` — the decision of *what* to do once
-  sampled: bump the page's frequency counter, start tracking it as a
-  candidate, or (when a candidate's counter exceeds the coldest cached
-  page's counter by the replacement threshold) order a replacement.
+:class:`SampledFrequencyPolicy` is the decision of *what* to do once an
+access is sampled: bump the page's frequency counter, start tracking it as
+a candidate, or (when a candidate's counter exceeds the coldest cached
+page's counter by the replacement threshold) order a replacement.  The
+decision of *whether* to sample — rate = recent miss rate × sampling
+coefficient (Section 4.2.1), so a cache that is already working well stops
+paying metadata traffic — runs for every access and is written out in
+:meth:`repro.core.banshee.BansheeCache.access`.
 
 The policy operates purely on :class:`~repro.core.frequency.FrequencySetMetadata`
 state and the deterministic RNG — it decides, the scheme executes (traffic
@@ -23,37 +21,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.frequency import FrequencySetMetadata
-from repro.sim.stats import MissRateWindow, StatsSet
+from repro.sim.stats import StatsSet
 from repro.util.rng import DeterministicRng
-
-
-class AdaptiveSampler:
-    """Miss-rate-proportional sampling of replacement-policy updates."""
-
-    __slots__ = ("miss_window", "coefficient", "always", "_chance")
-
-    def __init__(
-        self,
-        miss_window: MissRateWindow,
-        coefficient: float,
-        rng: DeterministicRng,
-        always: bool = False,
-    ) -> None:
-        self.miss_window = miss_window
-        self.coefficient = coefficient
-        self.always = always
-        self._chance = rng.chance
-
-    def should_update(self) -> bool:
-        """Draw the sampling decision for the current access.
-
-        Always consumes exactly one RNG draw (even in the ``fbr-nosample``
-        ablation, where the rate is 1.0) so that ablation runs stay on the
-        same random sequence as the sampled policy.
-        """
-        if self.always:
-            return self._chance(1.0)
-        return self._chance(self.miss_window.rate * self.coefficient)
 
 
 class SampledFrequencyPolicy:

@@ -13,8 +13,7 @@ Each class models one organisation of the DRAM cache's data array:
   re-chosen wholesale at remap intervals (HMA).
 
 Stores only track state — they never touch the DRAM devices.  Charging the
-traffic that state transitions imply is the scheme's job, via
-:class:`repro.dramcache.components.traffic.TransferFlows`.
+traffic that state transitions imply is the scheme's job.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ class DirectMappedLineStore:
     """Direct-mapped, line-granularity residency (one tag per frame).
 
     ``line`` maps to frame ``line % num_frames``; Alloy computes that and
-    reads ``tags`` in line on its per-access path.
+    reads and writes ``tags`` and ``dirty_frames`` in line on its
+    per-access path.
     """
 
     __slots__ = ("num_frames", "tags", "dirty_frames")
@@ -44,31 +44,6 @@ class DirectMappedLineStore:
     def is_resident(self, line: int) -> bool:
         """True when ``line`` currently occupies its frame."""
         return self.tags.get(line % self.num_frames) == line
-
-    def is_dirty(self, frame: int) -> bool:
-        """True when the line in ``frame`` has been modified."""
-        return frame in self.dirty_frames
-
-    def mark_dirty(self, frame: int) -> None:
-        """Record a write to the line resident in ``frame``."""
-        self.dirty_frames.add(frame)
-
-    def install(self, frame: int, line: int, dirty: bool) -> Tuple[Optional[int], bool]:
-        """Install ``line`` into ``frame``; returns ``(victim_line, victim_dirty)``.
-
-        ``victim_line`` is ``None`` when the frame was empty.  The victim's
-        dirty state is consumed here (the frame's dirty bit now describes the
-        new occupant).
-        """
-        victim = self.tags.get(frame)
-        victim_dirty = victim is not None and frame in self.dirty_frames
-        self.dirty_frames.discard(frame)
-        self.tags[frame] = line
-        if dirty:
-            self.dirty_frames.add(frame)
-        # One result tuple per fill (misses only, further gated by Alloy's
-        # stochastic fill probability).  # repro: allow[hotpath-alloc]
-        return victim, victim_dirty
 
 
 class _StoredPage:
@@ -158,26 +133,13 @@ class FifoPageStore:
             raise ValueError("in-package DRAM too small for a single page")
         self.capacity_pages = capacity_pages
         # OrderedDict doubles as the FIFO queue: insertion order is eviction
-        # order.  The value is the page's dirty bit.
+        # order.  The value is the page's dirty bit.  TDC reads and writes
+        # it in line on its per-access path.
         self.entries: "OrderedDict[int, bool]" = OrderedDict()
 
     def is_resident(self, page: int) -> bool:
         """True when ``page`` is currently cached."""
         return page in self.entries
-
-    def mark_dirty(self, page: int) -> None:
-        """Record a write to resident ``page`` (no-op ordering-wise: FIFO)."""
-        self.entries[page] = True
-
-    def pop_victim_if_full(self) -> Optional[Tuple[int, bool]]:
-        """Evict the oldest page when at capacity; returns ``(page, dirty)``."""
-        if len(self.entries) >= self.capacity_pages:
-            return self.entries.popitem(last=False)
-        return None
-
-    def insert(self, page: int, dirty: bool) -> None:
-        """Append ``page`` to the FIFO (caller must have made room)."""
-        self.entries[page] = dirty
 
 
 class PageDirectory:

@@ -1,18 +1,17 @@
-"""Probe and data-movement traffic charging.
+"""Off-path traffic charging: per-set metadata and data movement.
 
 Table 1 of the paper is, at heart, a catalogue of which DRAM accesses each
-scheme performs per hit, miss, fill and eviction.  These components express
-those accesses once, with the correct byte counts and
-:class:`~repro.sim.stats.TrafficCategory` labels, so schemes compose flows
-instead of re-implementing sequences of background device accesses:
+scheme performs per hit, miss, fill and eviction.  The accesses every
+request makes (demand data, tag probes, per-miss fills) are written out in
+each scheme's ``access``; these components express the rest — traffic that
+only sampled accesses, replacements and migrations cause — once, with the
+correct byte counts and :class:`~repro.sim.stats.TrafficCategory` labels:
 
-* :class:`TagProbe` — tag reads/updates for schemes that keep tags in the
-  in-package DRAM (Alloy's TAD layout, Unison's in-DRAM tags, Banshee's
-  writeback probe);
 * :class:`MetadataChannel` — the 32 B per-set metadata record that Banshee's
   frequency counters (and the LRU-ablation recency bits) live in;
-* :class:`TransferFlows` — fill, dirty-evict, writeback and migration data
-  movement between the two DRAM devices.
+* :class:`TransferFlows` — page fills, dirty-page evictions, writebacks and
+  migration accounting between the two DRAM devices (Banshee's
+  replacements, HMA).
 
 All accesses go through the port's hoisted device-access methods (bound
 once at construction), ``access_latency(now, addr, num_bytes, category,
@@ -22,51 +21,14 @@ than a keyword on a path that runs several times per LLC miss.
 
 from __future__ import annotations
 
-from repro.dramcache.base import TAG_ACCESS_BYTES
 from repro.sim.stats import TrafficCategory
 
 #: Bytes of one per-set metadata record (Section 5.1: ~32 bytes per set).
 METADATA_ACCESS_BYTES = 32
 
-_HIT = TrafficCategory.HIT_DATA
-_MISS = TrafficCategory.MISS_DATA
-_TAG = TrafficCategory.TAG
 _COUNTER = TrafficCategory.COUNTER
 _REPL = TrafficCategory.REPLACEMENT
 _WB = TrafficCategory.WRITEBACK
-
-
-class TagProbe:
-    """Tag traffic for schemes whose tags live in the in-package DRAM."""
-
-    __slots__ = ("tag_bytes", "line_size", "_in_access")
-
-    def __init__(self, port, tag_bytes: int = TAG_ACCESS_BYTES) -> None:
-        self.tag_bytes = tag_bytes
-        self.line_size = port.line_size
-        self._in_access = port._in_access
-
-    def probe(self, now: int, addr: int) -> None:
-        """One background tag read/update (32 B, off the critical path)."""
-        self._in_access(now, addr, self.tag_bytes, _TAG, True)
-
-    def hit_read(self, now: int, addr: int, tag_accesses: int = 1) -> int:
-        """Combined data+tag read on a hit; returns the critical-path latency.
-
-        The data read carries the latency; ``tag_accesses`` background tag
-        transfers ride along (1 for Alloy's TAD read, 2 for Unison's tag
-        read + LRU update write).
-        """
-        latency = self._in_access(now, addr, self.line_size, _HIT)
-        for _ in range(tag_accesses):
-            self._in_access(now, addr, self.tag_bytes, _TAG, True)
-        return latency
-
-    def speculative_read(self, now: int, addr: int) -> int:
-        """Wasted tag+data read on a miss (way prediction must be verified)."""
-        latency = self._in_access(now, addr, self.line_size, _MISS)
-        self._in_access(now, addr, self.tag_bytes, _TAG, True)
-        return latency
 
 
 class MetadataChannel:
@@ -111,14 +73,6 @@ class TransferFlows:
     def fill_from_off(self, now: int, addr: int, num_bytes: int) -> None:
         """Move ``num_bytes`` from off-package DRAM into the cache (a fill)."""
         self._off_access(now, addr, num_bytes, _REPL, True)
-        self._in_access(now, addr, num_bytes, _REPL, True)
-
-    def fill_in_only(self, now: int, addr: int, num_bytes: int) -> None:
-        """Write ``num_bytes`` into the cache (data already fetched on demand)."""
-        self._in_access(now, addr, num_bytes, _REPL, True)
-
-    def fill_metadata(self, now: int, addr: int, num_bytes: int = TAG_ACCESS_BYTES) -> None:
-        """Tag/metadata update that accompanies a fill (replacement traffic)."""
         self._in_access(now, addr, num_bytes, _REPL, True)
 
     # ------------------------------------------------------------------ evictions

@@ -28,7 +28,7 @@ from repro.dram.device import DramDevice
 from repro.dramcache.base import DramCacheScheme, OsServices
 from repro.dramcache.components.stores import ResidentPageSet
 from repro.dramcache.components.traffic import TransferFlows
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
@@ -67,16 +67,16 @@ class HmaCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
         self.notify_cycle(now)
         page = request.addr // self.page_size
         if request.is_writeback:
             if self.store.is_resident(page):
                 self.store.mark_dirty(page)
                 self.flows.writeback_to_cache(now, request.addr)
-                return self._result_of(0, True, "in-package")
+                return 0
             self.flows.writeback_to_off(now, request.addr)
-            return self._result_of(0, False, "off-package")
+            return 0
 
         self._epoch_counts[page] += 1
         if self.store.is_resident(page):
@@ -84,11 +84,11 @@ class HmaCache(DramCacheScheme):
             if request.is_write:
                 self.store.mark_dirty(page)
             self._counters["dram_cache_hits"] += 1
-            return self._result_of(latency, True, "in-package")
+            return latency
 
         latency = self._off_access(now, request.addr, self.line_size, TrafficCategory.HIT_DATA)
         self._counters["dram_cache_misses"] += 1
-        return self._result_of(latency, False, "off-package")
+        return latency
 
     # ------------------------------------------------------------------ periodic remap
 

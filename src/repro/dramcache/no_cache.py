@@ -6,7 +6,7 @@ Speedups in Figure 4 of the paper are normalised to this configuration.
 from __future__ import annotations
 
 from repro.dramcache.base import DramCacheScheme
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.stats import TrafficCategory
 
 _HIT = TrafficCategory.HIT_DATA
@@ -18,10 +18,9 @@ class NoCache(DramCacheScheme):
 
     name = "nocache"
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
         if request.is_writeback:
             self._off_access(now, request.addr, self.line_size, _WRITEBACK, True)
-            return self._result_of(0, None, "off-package")
-        latency = self._off_access(now, request.addr, self.line_size, _HIT)
+            return 0
         self._counters["dram_cache_misses"] += 1
-        return self._result_of(latency, False, "off-package")
+        return self._off_access(now, request.addr, self.line_size, _HIT)

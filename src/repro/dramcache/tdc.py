@@ -12,11 +12,12 @@ it gets the same perfect footprint predictor as Unison Cache.  Even this
 idealisation loses to Banshee because it still pays full replacement traffic
 on every miss and FIFO can evict hot pages.
 
-Mechanically the scheme is a composition of a
-:class:`~repro.dramcache.components.stores.FifoPageStore` (residency in FIFO
-order) and :class:`~repro.dramcache.components.traffic.TransferFlows`
-(footprint-sized fills and dirty-page evictions) — no probe component, which
-*is* the point of the design.
+Residency is a :class:`~repro.dramcache.components.stores.FifoPageStore`
+and the footprint a :class:`~repro.dramcache.footprint.FootprintPredictor`.
+There is no probe traffic — which *is* the point of the design — and the
+remaining DRAM accesses of a request (the demand line, the fill and a dirty
+victim's writeback) are issued in line, since replacement runs on every
+miss.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ from typing import Optional
 from repro.dram.device import DramDevice
 from repro.dramcache.base import DramCacheScheme, OsServices
 from repro.dramcache.components.stores import FifoPageStore
-from repro.dramcache.components.traffic import TransferFlows
 from repro.dramcache.footprint import FootprintPredictor
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
 _HIT = TrafficCategory.HIT_DATA
 _MISS = TrafficCategory.MISS_DATA
+_REPL = TrafficCategory.REPLACEMENT
+_WB = TrafficCategory.WRITEBACK
 
 
 class TaglessDramCache(DramCacheScheme):
@@ -53,7 +55,6 @@ class TaglessDramCache(DramCacheScheme):
         super().__init__(config, in_dram, off_dram, rng=rng, os_services=os_services)
         self.store = FifoPageStore(config.in_package_dram.capacity_bytes // self.page_size)
         self.capacity_pages = self.store.capacity_pages
-        self.flows = TransferFlows(self)
         self.footprint = FootprintPredictor(
             self.page_size, granularity_lines=config.dram_cache.footprint_granularity_lines
         )
@@ -68,54 +69,55 @@ class TaglessDramCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        page = request.addr // self.page_size
-        if request.is_writeback:
-            return self._writeback(now, request, page)
-
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
+        addr = request.addr
+        page = addr // self.page_size
         entries = self.store.entries
+        if request.is_writeback:
+            # The mapping is known from the PTE/TLB extension, so no tag probe.
+            if page in entries:
+                entries[page] = True
+                self._in_access(now, addr, self.line_size, _WB, True)
+                self.footprint.on_access(page, addr)
+            else:
+                self._off_access(now, addr, self.line_size, _WB, True)
+            return 0
+
+        counters = self._counters
         if page in entries:
-            latency = self._in_access(now, request.addr, self.line_size, _HIT)
+            latency = self._in_access(now, addr, self.line_size, _HIT)
             if request.is_write:
                 entries[page] = True
-            self.footprint.on_access(page, request.addr)
-            self._counters["dram_cache_hits"] += 1
-            return self._result_of(latency, True, "in-package")
+            self.footprint.on_access(page, addr)
+            counters["dram_cache_hits"] += 1
+            return latency
 
         # Miss: the mapping was already known from the TLB, so the demand line
         # comes straight from off-package DRAM with no DRAM-cache probe.
-        latency = self._off_access(now, request.addr, self.line_size, _MISS)
-        self._counters["dram_cache_misses"] += 1
-        self._fill(now + latency, request, page)
-        return self._result_of(latency, False, "off-package")
+        latency = self._off_access(now, addr, self.line_size, _MISS)
+        counters["dram_cache_misses"] += 1
 
-    def _fill(self, now: int, request: MemRequest, page: int) -> None:
-        """Replacement on every miss with FIFO eviction."""
-        victim = self.store.pop_victim_if_full()
-        if victim is not None:
-            victim_page, victim_dirty = victim
+        # Replacement on every miss, FIFO eviction.
+        fill_at = now + latency
+        footprint = self.footprint
+        if len(entries) >= self.capacity_pages:
+            victim_page, victim_dirty = entries.popitem(last=False)
             if victim_dirty:
-                dirty_bytes = self.footprint.writeback_bytes(victim_page)
-                self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-                self._counters["dirty_page_evictions"] += 1
-            self.footprint.on_evict(victim_page)
-            self._counters["page_evictions"] += 1
-
-        self.store.insert(page, request.is_write)
-        self.footprint.on_fill(page)
-        self.footprint.on_access(page, request.addr)
-        fill_bytes = self.footprint.predicted_fill_bytes()
-        self.flows.fill_from_off(now, page * self.page_size, fill_bytes)
-        counters = self._counters
+                # Read the dirty footprint out of the cache, write it off-package.
+                dirty_bytes = footprint.writeback_bytes(victim_page)
+                victim_addr = victim_page * self.page_size
+                self._in_access(fill_at, victim_addr, dirty_bytes, _REPL, True)
+                self._off_access(fill_at, victim_addr, dirty_bytes, _WB, True)
+                counters["dirty_page_evictions"] += 1
+            footprint.on_evict(victim_page)
+            counters["page_evictions"] += 1
+        entries[page] = request.is_write
+        footprint.on_fill(page)
+        footprint.on_access(page, addr)
+        fill_bytes = footprint.predicted_fill_bytes()
+        page_addr = page * self.page_size
+        self._off_access(fill_at, page_addr, fill_bytes, _REPL, True)
+        self._in_access(fill_at, page_addr, fill_bytes, _REPL, True)
         counters["page_fills"] += 1
         counters["fill_bytes"] += fill_bytes
-
-    def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
-        # The mapping is known from the PTE/TLB extension, so no tag probe.
-        if self.store.is_resident(page):
-            self.store.mark_dirty(page)
-            self.flows.writeback_to_cache(now, request.addr)
-            self.footprint.on_access(page, request.addr)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")
+        return latency

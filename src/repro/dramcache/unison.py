@@ -16,11 +16,12 @@ Misses pay the speculative tag+data read in the DRAM cache (96 B, the way
 prediction still has to be verified) plus the off-package demand fetch, for
 roughly 2x latency.
 
-Mechanically the scheme is a composition of a
-:class:`~repro.dramcache.components.stores.SetAssociativePageStore` (residency
-+ LRU), a :class:`~repro.dramcache.components.traffic.TagProbe` (in-DRAM tag
-reads/updates) and :class:`~repro.dramcache.components.traffic.TransferFlows`
-(footprint-sized fills and dirty-page evictions).
+Residency and LRU live in a
+:class:`~repro.dramcache.components.stores.SetAssociativePageStore` and the
+footprint in a :class:`~repro.dramcache.footprint.FootprintPredictor`; the
+DRAM accesses of a request (tag+data reads, the writeback probe, the fill
+and a dirty victim's writeback) are issued in line, since replacement runs
+on every miss.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ from typing import Optional
 
 from repro.cache.replacement import LruPolicy
 from repro.dram.device import DramDevice
-from repro.dramcache.base import DramCacheScheme, OsServices
+from repro.dramcache.base import TAG_ACCESS_BYTES, DramCacheScheme, OsServices
 from repro.dramcache.components.stores import SetAssociativePageStore
-from repro.dramcache.components.traffic import TagProbe, TransferFlows
 from repro.dramcache.footprint import FootprintPredictor
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
+_HIT = TrafficCategory.HIT_DATA
 _MISS = TrafficCategory.MISS_DATA
+_TAG = TrafficCategory.TAG
+_REPL = TrafficCategory.REPLACEMENT
+_WB = TrafficCategory.WRITEBACK
 
 
 class UnisonCache(DramCacheScheme):
@@ -61,8 +65,6 @@ class UnisonCache(DramCacheScheme):
         self.store = SetAssociativePageStore(
             self.num_sets, self.ways, LruPolicy(self.num_sets, self.ways)
         )
-        self.probe = TagProbe(self)
-        self.flows = TransferFlows(self)
         self.footprint = FootprintPredictor(
             self.page_size, granularity_lines=config.dram_cache.footprint_granularity_lines
         )
@@ -74,75 +76,73 @@ class UnisonCache(DramCacheScheme):
 
     # ------------------------------------------------------------------ access
 
-    def access(self, now: int, request: MemRequest, mc_id: int) -> AccessResult:
-        page = request.addr // self.page_size
-        if request.is_writeback:
-            return self._writeback(now, request, page)
-
+    def access(self, now: int, request: MemRequest, mc_id: int) -> int:
+        addr = request.addr
+        page = addr // self.page_size
+        in_access = self._in_access
         location = self.store.lookup(page)
+        if request.is_writeback:
+            # Writebacks must probe the in-DRAM tags to find the page.
+            in_access(now, addr, TAG_ACCESS_BYTES, _TAG, True)
+            if location is not None:
+                self.store.mark_dirty(location[0], location[1])
+                in_access(now, addr, self.line_size, _WB, True)
+                self.footprint.on_access(page, addr)
+            else:
+                self._off_access(now, addr, self.line_size, _WB, True)
+            return 0
+
         if location is not None:
-            return self._hit(now, request, page, location)
-        return self._miss(now, request, page)
+            set_index, way = location
+            # Data + tag read in one access (perfect way prediction), then
+            # the tag read and the LRU update write.
+            latency = in_access(now, addr, self.line_size, _HIT)
+            in_access(now, addr, TAG_ACCESS_BYTES, _TAG, True)
+            in_access(now, addr, TAG_ACCESS_BYTES, _TAG, True)
+            self.store.touch(set_index, way)
+            if request.is_write:
+                self.store.mark_dirty(set_index, way)
+            self.footprint.on_access(page, addr)
+            self._counters["dram_cache_hits"] += 1
+            return latency
 
-    def _hit(self, now: int, request: MemRequest, page: int, location: tuple) -> AccessResult:
-        set_index, way = location
-        # Data + tag read in one access (perfect way prediction), LRU update write.
-        latency = self.probe.hit_read(now, request.addr, tag_accesses=2)
-        self.store.touch(set_index, way)
-        if request.is_write:
-            self.store.mark_dirty(set_index, way)
-        self.footprint.on_access(page, request.addr)
-        self._counters["dram_cache_hits"] += 1
-        return self._result_of(latency, True, "in-package")
-
-    def _miss(self, now: int, request: MemRequest, page: int) -> AccessResult:
-        # Speculative tag + data read in the DRAM cache, then the real fetch.
-        spec_latency = self.probe.speculative_read(now, request.addr)
-        off_latency = self._off_access(now + spec_latency, request.addr, self.line_size, _MISS)
-        latency = spec_latency + off_latency
+        # Miss: speculative tag + data read in the DRAM cache, then the real fetch.
+        latency = in_access(now, addr, self.line_size, _MISS)
+        in_access(now, addr, TAG_ACCESS_BYTES, _TAG, True)
+        latency += self._off_access(now + latency, addr, self.line_size, _MISS)
         self._counters["dram_cache_misses"] += 1
         self._replace(now + latency, request, page)
-        return self._result_of(latency, False, "off-package")
+        return latency
 
     def _replace(self, now: int, request: MemRequest, page: int) -> None:
         """Replacement happens on every miss (Table 1)."""
         store = self.store
+        footprint = self.footprint
+        counters = self._counters
         set_index = store.set_of(page)
         victim_way = store.victim_way(set_index)
         victim = store.evict(set_index, victim_way)
         if victim is not None:
-            self._evict(now, victim.page, victim.dirty)
+            victim_page = victim.page
+            if victim.dirty:
+                # Read the dirty footprint out of the cache, write it off-package.
+                dirty_bytes = footprint.writeback_bytes(victim_page)
+                victim_addr = victim_page * self.page_size
+                self._in_access(now, victim_addr, dirty_bytes, _REPL, True)
+                self._off_access(now, victim_addr, dirty_bytes, _WB, True)
+                counters["dirty_page_evictions"] += 1
+            footprint.on_evict(victim_page)
+            counters["page_evictions"] += 1
         store.install(set_index, victim_way, page, request.is_write)
-        self.footprint.on_fill(page)
-        self.footprint.on_access(page, request.addr)
+        footprint.on_fill(page)
+        footprint.on_access(page, request.addr)
 
         # Fill traffic: predicted footprint read from off-package and written
         # into the DRAM cache, plus the tag update.
-        fill_bytes = self.footprint.predicted_fill_bytes()
+        fill_bytes = footprint.predicted_fill_bytes()
         page_addr = page * self.page_size
-        self.flows.fill_from_off(now, page_addr, fill_bytes)
-        self.flows.fill_metadata(now, page_addr)
-        counters = self._counters
+        self._off_access(now, page_addr, fill_bytes, _REPL, True)
+        self._in_access(now, page_addr, fill_bytes, _REPL, True)
+        self._in_access(now, page_addr, TAG_ACCESS_BYTES, _REPL, True)
         counters["page_fills"] += 1
         counters["fill_bytes"] += fill_bytes
-
-    def _evict(self, now: int, victim_page: int, victim_dirty: bool) -> None:
-        if victim_dirty:
-            dirty_bytes = self.footprint.writeback_bytes(victim_page)
-            self.flows.evict_dirty_to_off(now, victim_page * self.page_size, dirty_bytes)
-            self._counters["dirty_page_evictions"] += 1
-        self.footprint.on_evict(victim_page)
-        self._counters["page_evictions"] += 1
-
-    def _writeback(self, now: int, request: MemRequest, page: int) -> AccessResult:
-        # Writebacks must probe the in-DRAM tags to find the page.
-        self.probe.probe(now, request.addr)
-        location = self.store.lookup(page)
-        if location is not None:
-            set_index, way = location
-            self.store.mark_dirty(set_index, way)
-            self.flows.writeback_to_cache(now, request.addr)
-            self.footprint.on_access(page, request.addr)
-            return self._result_of(0, True, "in-package")
-        self.flows.writeback_to_off(now, request.addr)
-        return self._result_of(0, False, "off-package")

@@ -1,6 +1,6 @@
 """Memory-controller layer: request types and controller routing."""
 
 from repro.memctrl.controller import MemoryControllerSet
-from repro.memctrl.request import AccessResult, MappingInfo, MemRequest
+from repro.memctrl.request import MappingInfo, MemRequest
 
-__all__ = ["MemoryControllerSet", "AccessResult", "MappingInfo", "MemRequest"]
+__all__ = ["MemoryControllerSet", "MappingInfo", "MemRequest"]

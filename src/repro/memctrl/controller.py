@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.memctrl.request import AccessResult, MemRequest
+from repro.memctrl.request import MemRequest
 from repro.sim.config import SystemConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
@@ -28,22 +28,18 @@ class MemoryControllerSet:
         # Bound method hoisted once: ``access`` runs for every LLC miss and
         # writeback, and the extra attribute hop is measurable at trace scale.
         self._scheme_access = scheme.access
-        self.requests = 0
-        self.writebacks = 0
 
     def controller_for(self, addr: int, page_size: int) -> int:
         """Memory controller owning ``addr`` (static page-granularity mapping)."""
         return (addr // page_size) % self.num_controllers
 
-    def access(self, now: int, request: MemRequest) -> AccessResult:
-        """Route one request to the DRAM-cache scheme.
+    def access(self, now: int, request: MemRequest) -> int:
+        """Route one request to the DRAM-cache scheme; returns its latency.
 
         Runs for every LLC miss and writeback, so the :meth:`controller_for`
-        mapping is computed in line rather than called.
+        mapping is computed in line rather than called.  Request counts are
+        the system's ``llc_misses`` and ``llc_writebacks``.
         """
-        self.requests += 1
-        if request.is_writeback:
-            self.writebacks += 1
         return self._scheme_access(
             now, request, (request.addr // request.page_size) % self.num_controllers
         )

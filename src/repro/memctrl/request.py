@@ -1,4 +1,4 @@
-"""Memory request and result types exchanged between the LLC and the MCs.
+"""Memory request types exchanged between the LLC and the MCs.
 
 Every L1 miss in Banshee carries the PTE/TLB mapping bits (cached + way)
 down the hierarchy (Section 3.2).  In this simulator only requests that
@@ -8,8 +8,8 @@ mapping bits the TLB held when the access was issued.  LLC dirty evictions
 tag buffer's clean entries and the DRAM-cache tag probe exist for.
 
 These are hot-path objects — one (reused) request per LLC miss plus one per
-writeback, and an :class:`AccessResult` per controller access — so they are
-plain ``__slots__`` classes rather than dataclasses: no per-instance
+writeback; a controller access returns its latency as a plain ``int`` — so
+they are plain ``__slots__`` classes rather than dataclasses: no per-instance
 ``__dict__``, cheaper construction, and cheap in-place mutation for the
 preallocated requests :class:`repro.sim.system.System` reuses.  (Manual
 ``__slots__`` because ``@dataclass(slots=True)`` needs Python 3.10 and
@@ -83,28 +83,4 @@ class MemRequest:
             f"MemRequest(addr={self.addr:#x}, is_write={self.is_write!r}, "
             f"core_id={self.core_id!r}, is_writeback={self.is_writeback!r}, "
             f"mapping={self.mapping!r}, page_size={self.page_size!r})"
-        )
-
-
-class AccessResult:
-    """Outcome of one memory-controller access."""
-
-    __slots__ = ("latency", "dram_cache_hit", "served_by")
-
-    def __init__(
-        self,
-        latency: int,
-        dram_cache_hit: Optional[bool] = None,
-        served_by: str = "off-package",
-    ) -> None:
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
-        self.latency = latency
-        self.dram_cache_hit = dram_cache_hit
-        self.served_by = served_by
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"AccessResult(latency={self.latency!r}, "
-            f"dram_cache_hit={self.dram_cache_hit!r}, served_by={self.served_by!r})"
         )

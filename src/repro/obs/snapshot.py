@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import System
 
 #: Bumped whenever the snapshot payload layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Marker distinguishing snapshot files from other JSON artifacts.
 SNAPSHOT_KIND = "repro-engine-snapshot"
@@ -172,7 +172,6 @@ def _sram_to_dict(cache: Any) -> Dict[str, Any]:
         "rng": _rng_to_dict(cache._rng),
         "hits": cache.hits,
         "misses": cache.misses,
-        "evictions": cache.evictions,
         "dirty_evictions": cache.dirty_evictions,
     }
 
@@ -185,7 +184,6 @@ def _sram_restore(cache: Any, payload: Dict[str, Any]) -> None:
     _rng_restore(cache._rng, payload["rng"])
     cache.hits = payload["hits"]
     cache.misses = payload["misses"]
-    cache.evictions = payload["evictions"]
     cache.dirty_evictions = payload["dirty_evictions"]
     cache.victim_addr = None
     cache.victim_dirty = False
@@ -211,7 +209,6 @@ def _channel_to_dict(channel: Any) -> Dict[str, Any]:
     return {
         "busy_until": channel.busy_until,
         "total_busy_cycles": channel.total_busy_cycles,
-        "total_requests": channel.total_requests,
         "background_backlog": channel.background_backlog,
         "last_row": channel.last_row,
     }
@@ -220,7 +217,6 @@ def _channel_to_dict(channel: Any) -> Dict[str, Any]:
 def _channel_restore(channel: Any, payload: Dict[str, Any]) -> None:
     channel.busy_until = payload["busy_until"]
     channel.total_busy_cycles = payload["total_busy_cycles"]
-    channel.total_requests = payload["total_requests"]
     channel.background_backlog = payload["background_backlog"]
     channel.last_row = payload["last_row"]
 
@@ -488,10 +484,6 @@ def _tag_buffer_to_dict(buffer: Any) -> Dict[str, Any]:
             for bucket in buffer._sets
         ],
         "clock": buffer._clock,
-        "lookups": buffer.lookups,
-        "hits": buffer.hits,
-        "inserts": buffer.inserts,
-        "remap_inserts": buffer.remap_inserts,
     }
 
 
@@ -505,10 +497,9 @@ def _tag_buffer_restore(buffer: Any, payload: Dict[str, Any]) -> None:
                 page=page, cached=cached, way=way, remap=remap, last_use=last_use
             )
     buffer._clock = payload["clock"]
-    buffer.lookups = payload["lookups"]
-    buffer.hits = payload["hits"]
-    buffer.inserts = payload["inserts"]
-    buffer.remap_inserts = payload["remap_inserts"]
+    buffer._remap_count = sum(
+        1 for bucket in buffer._sets for entry in bucket.values() if entry.remap
+    )
 
 
 def _encode_banshee(scheme: Any) -> Dict[str, Any]:
@@ -626,10 +617,6 @@ def system_state_to_dict(system: "System") -> Dict[str, Any]:
         "hierarchy": _hierarchy_to_dict(system.hierarchy),
         "in_dram": _device_to_dict(system.in_dram),
         "off_dram": _device_to_dict(system.off_dram),
-        "controllers": {
-            "requests": system.controllers.requests,
-            "writebacks": system.controllers.writebacks,
-        },
         "shootdowns": system.shootdown_model.shootdowns,
         "os_services": {
             "pte_update_batches": os_services.pte_update_batches,
@@ -654,8 +641,6 @@ def restore_system_state(system: "System", payload: Dict[str, Any]) -> None:
     _hierarchy_restore(system.hierarchy, payload["hierarchy"])
     _device_restore(system.in_dram, payload["in_dram"])
     _device_restore(system.off_dram, payload["off_dram"])
-    system.controllers.requests = payload["controllers"]["requests"]
-    system.controllers.writebacks = payload["controllers"]["writebacks"]
     system.shootdown_model.shootdowns = payload["shootdowns"]
     os_services = system.os_services
     os_services.pte_update_batches = payload["os_services"]["pte_update_batches"]

@@ -10,6 +10,10 @@ bit-identical simulation results; only wall time differs).
 the two payloads are diffed cell by cell with a noise band (``--noise``)
 so only real regressions/improvements are flagged.
 
+``--count-ops`` runs each cell once under opcode tracing and prints the
+bytecodes and Python calls per record, per layer (see
+:mod:`repro.perf.opcount`): counts that do not drift with host speed.
+
 ``--smoke`` runs a tiny record budget — it exists for CI, where the point
 is catching hot-path regressions loudly and cheaply, not producing stable
 absolute numbers.
@@ -39,6 +43,7 @@ from repro.perf.harness import (
     validate_matrix,
     write_report,
 )
+from repro.perf.opcount import count_ops, format_opcount
 from repro.sim.engine import DEFAULT_ENGINE_MODE, ENGINE_MODES
 from repro.workloads.registry import available_workloads
 
@@ -93,6 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                         help="compare two benchmark payloads cell by cell instead of "
                              "running a benchmark; ratios outside the noise band are flagged")
+    parser.add_argument("--count-ops", action="store_true",
+                        help="instead of timing, run each cell once under opcode tracing and "
+                             "print bytecodes and Python calls per record, per layer")
     parser.add_argument("--noise", type=float, default=DEFAULT_NOISE, metavar="FRAC",
                         help=f"half-width of the --compare noise band (default {DEFAULT_NOISE})")
     return parser
@@ -135,6 +143,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    if args.count_ops:
+        for scheme in schemes:
+            for workload in workloads:
+                print(format_opcount(count_ops(
+                    scheme, workload, records, num_cores=args.cores, scale=args.scale,
+                    seed=args.seed, preset=args.preset, engine_mode=args.engine,
+                )))
+        return 0
 
     if not args.quiet:
         print(f"# hot-path benchmark: {records} records/core, "

@@ -380,6 +380,13 @@ class BatchRunner:
         locals, flushing them only around slow-path calls and at run ends.
         The flushes preserve the exact per-record addition order, so results
         stay bit-identical (see the module docstring for the order proof).
+
+        A turn whose first record is not an inline TLB+L1 hit is a
+        *one-record turn*: it calls ``process_record_cols`` once and goes
+        back to the pick, skipping the run cap, the context unpack and the
+        accumulator load and flush.  That is the scalar engine's order (one
+        record, then the edge checks, then the pick), so it is bit-identical
+        too; both kinds of turn share the edge block.
         """
         system = self._system
         num_cores = system.config.num_cores
@@ -445,100 +452,118 @@ class BatchRunner:
                     live.remove(best)
                     continue
                 pos = 0
-            # Cut the run at every boundary the scalar loop checks per
-            # record, so warmup/windows/budget fire at identical counts.
-            cap = remaining[best]
-            avail = source.length - pos
-            if avail < cap:
-                cap = avail
-            if processed + cap > total_budget:
-                cap = int(total_budget - processed)
-            if not measurement_started:
-                warmup_left = warmup_threshold - processed
-                if warmup_left < cap:
-                    cap = warmup_left
-            if observing:
-                window_left = next_window - processed
-                if window_left < cap:
-                    cap = window_left
-            if controlling:
-                ctrl_left = ctrl_next - processed
-                if ctrl_left < cap:
-                    cap = int(ctrl_left)
-            (core, tlb, l1, tlb_entries, tlb_move, l1_sets, set_mask,
-             line_bits, l1_lru, issue_width, l1_stall, stats) = contexts[best]
-            gaps = source.gaps
-            addrs = source.addrs
-            writes = source.writes
-            const_gap = source.const_gap
-            cycles_const = const_gap / issue_width if const_gap is not None else 0.0
-            tie_lt = best < b_core
-            start = pos
-            end = pos + cap
-            clock = core.clock
-            cc = stats.compute_cycles
-            ms = stats.memory_stall_cycles
-            instructions = 0
-            fast_count = 0
-            # The inline hit path cannot set a pending stall, so the check
-            # holds across fast records and is only re-evaluated after a
-            # slow-path call (which can trigger OS events).
-            fast_here = fast_ok and core._pending_stall == 0.0
-            while pos < end:  # repro: hotpath
-                addr = addrs[pos]
-                if fast_here:
-                    vpn = addr >> page_shift
-                    if vpn in tlb_entries:
-                        line = addr >> line_bits
-                        bucket = l1_sets[line & set_mask]
-                        if line in bucket:
-                            # Inline TLB-hit + L1-hit path: identical
-                            # operations in identical order to
-                            # process_record_cols, so bit-identical.
-                            if const_gap is None:
-                                gap = gaps[pos]
-                                cycles = gap / issue_width
-                            else:
-                                gap = const_gap
-                                cycles = cycles_const
-                            tlb_move(vpn)
-                            if writes[pos]:
-                                bucket[line] = True
-                            if l1_lru:
-                                bucket.move_to_end(line)
-                            clock += cycles
-                            cc += cycles
-                            clock += l1_stall
-                            ms += l1_stall
-                            instructions += gap
-                            fast_count += 1
-                            pos += 1
-                            if clock < b_clock or (clock == b_clock and tie_lt):
-                                continue
-                            break
-                # Slow path: flush the float accumulators (their per-record
-                # addition order must be preserved), call, reload.
+            addr = source.addrs[pos]
+            context = contexts[best]
+            if fast_ok and context[0]._pending_stall == 0.0 and (addr >> page_shift) in context[3]:
+                line = addr >> context[7]
+                inline_first = line in context[5][line & context[6]]
+            else:
+                inline_first = False
+            if not inline_first:
+                # One-record turn.  In the miss-bound regime most turns hold
+                # a single record that leaves the inline path, so the run
+                # set-up below would buy nothing: process it and go back to
+                # the pick, which hands the core the next record itself if
+                # it is still the minimum.  No cap is needed: the edge block
+                # leaves every boundary at least one record away.
+                keys[best] = process_cols(best, source.gaps[pos], addr, source.writes[pos])
+                source.pos = pos + 1
+                done = 1
+            else:
+                # Cut the run at every boundary the scalar loop checks per
+                # record, so warmup/windows/budget fire at identical counts.
+                cap = remaining[best]
+                avail = source.length - pos
+                if avail < cap:
+                    cap = avail
+                if processed + cap > total_budget:
+                    cap = int(total_budget - processed)
+                if not measurement_started:
+                    warmup_left = warmup_threshold - processed
+                    if warmup_left < cap:
+                        cap = warmup_left
+                if observing:
+                    window_left = next_window - processed
+                    if window_left < cap:
+                        cap = window_left
+                if controlling:
+                    ctrl_left = ctrl_next - processed
+                    if ctrl_left < cap:
+                        cap = int(ctrl_left)
+                (core, tlb, l1, tlb_entries, tlb_move, l1_sets, set_mask,
+                 line_bits, l1_lru, issue_width, l1_stall, stats) = context
+                gaps = source.gaps
+                addrs = source.addrs
+                writes = source.writes
+                const_gap = source.const_gap
+                cycles_const = const_gap / issue_width if const_gap is not None else 0.0
+                tie_lt = best < b_core
+                start = pos
+                end = pos + cap
+                clock = core.clock
+                cc = stats.compute_cycles
+                ms = stats.memory_stall_cycles
+                instructions = 0
+                fast_count = 0
+                # The inline hit path cannot set a pending stall, so the check
+                # holds across fast records and is only re-evaluated after a
+                # slow-path call (which can trigger OS events).
+                fast_here = fast_ok and core._pending_stall == 0.0
+                while pos < end:  # repro: hotpath
+                    addr = addrs[pos]
+                    if fast_here:
+                        vpn = addr >> page_shift
+                        if vpn in tlb_entries:
+                            line = addr >> line_bits
+                            bucket = l1_sets[line & set_mask]
+                            if line in bucket:
+                                # Inline TLB-hit + L1-hit path: identical
+                                # operations in identical order to
+                                # process_record_cols, so bit-identical.
+                                if const_gap is None:
+                                    gap = gaps[pos]
+                                    cycles = gap / issue_width
+                                else:
+                                    gap = const_gap
+                                    cycles = cycles_const
+                                tlb_move(vpn)
+                                if writes[pos]:
+                                    bucket[line] = True
+                                if l1_lru:
+                                    bucket.move_to_end(line)
+                                clock += cycles
+                                cc += cycles
+                                clock += l1_stall
+                                ms += l1_stall
+                                instructions += gap
+                                fast_count += 1
+                                pos += 1
+                                if clock < b_clock or (clock == b_clock and tie_lt):
+                                    continue
+                                break
+                    # Slow path: flush the float accumulators (their per-record
+                    # addition order must be preserved), call, reload.
+                    core.clock = clock
+                    stats.compute_cycles = cc
+                    stats.memory_stall_cycles = ms
+                    clock = process_cols(best, gaps[pos], addr, writes[pos])
+                    cc = stats.compute_cycles
+                    ms = stats.memory_stall_cycles
+                    fast_here = fast_ok and core._pending_stall == 0.0
+                    pos += 1
+                    if clock < b_clock or (clock == b_clock and tie_lt):
+                        continue
+                    break
+                done = pos - start
+                source.pos = pos
                 core.clock = clock
                 stats.compute_cycles = cc
                 stats.memory_stall_cycles = ms
-                clock = process_cols(best, gaps[pos], addr, writes[pos])
-                cc = stats.compute_cycles
-                ms = stats.memory_stall_cycles
-                fast_here = fast_ok and core._pending_stall == 0.0
-                pos += 1
-                if clock < b_clock or (clock == b_clock and tie_lt):
-                    continue
-                break
-            done = pos - start
-            source.pos = pos
-            core.clock = clock
-            stats.compute_cycles = cc
-            stats.memory_stall_cycles = ms
-            stats.instructions += instructions
-            stats.memory_accesses += fast_count
-            tlb.hits += fast_count
-            l1.hits += fast_count
-            keys[best] = clock
+                stats.instructions += instructions
+                stats.memory_accesses += fast_count
+                tlb.hits += fast_count
+                l1.hits += fast_count
+                keys[best] = clock
             processed += done
             remaining[best] -= done
             consumed[best] += done

@@ -157,7 +157,9 @@ class MissRateWindow:
     def rate(self) -> float:
         """Current miss-rate estimate in [0, 1]."""
         total = self._hits + self._misses
-        if total >= self.window // 4:
+        # ``total > 0`` guards windows under 4, where a fresh or just-rolled
+        # window would otherwise divide by zero.
+        if total > 0 and total >= self.window // 4:
             # Blend the running window with the last complete window so that
             # the estimate tracks the current phase reasonably quickly.
             current = self._misses / total

@@ -191,8 +191,8 @@ class System:
             request.addr = addr
             request.is_write = is_write
             request.core_id = core_id
-            result = self._controllers_access(int(clock), request)
-            stall = core._l3_hit_latency + result.latency / core.mlp
+            latency = self._controllers_access(int(clock), request)
+            stall = core._l3_hit_latency + latency / core.mlp
         else:
             level = outcome.level
             if level == "l1":

@@ -58,7 +58,7 @@ def test_channel_queueing_delay_accumulates():
     second = access(device, 0, 64)
     assert first.queue_delay == 0
     assert second.queue_delay > 0
-    assert device.channels[0].total_requests == 2
+    assert device.traffic.total_accesses == 2
 
 
 def test_channel_idle_requests_have_no_queue_delay():
@@ -133,7 +133,8 @@ def test_device_record_only_has_no_timing_effect():
     device = DramDevice(config, 2.7)
     device.record_only(4096, TrafficCategory.REPLACEMENT)
     assert device.traffic.bytes_for(TrafficCategory.REPLACEMENT) == 4096
-    assert device.channels[0].total_requests == 0
+    assert device.channels[0].busy_until == 0
+    assert device.channels[0].total_busy_cycles == 0
 
 
 def test_device_reset_clears_state():
@@ -158,7 +159,7 @@ def test_device_reset_repoints_traffic_counters():
     assert device.traffic.breakdown()["Tag"] == 96
     assert device.traffic.total_bytes == 128
     assert device.traffic.total_accesses == 2
-    assert device.channels[0].total_requests == 1
+    assert device.channels[0].total_busy_cycles == device.timing.transfer_cycles(96)
 
 
 def test_device_utilization_bounded():

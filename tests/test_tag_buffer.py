@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.tag_buffer import TagBuffer, TagBufferFullError
+from repro.util.rng import DeterministicRng
 
 
 def test_insert_and_lookup():
@@ -81,3 +82,27 @@ def test_contains():
     buffer.insert(42, True, 0, remap=False)
     assert 42 in buffer
     assert 43 not in buffer
+
+
+def test_maintained_remap_count_equals_a_scan():
+    """``remap_count`` is kept by ``insert`` and ``clear_remap_bits``; after
+    a seeded mix of clean and remap inserts (updates of existing entries,
+    clean-entry evictions, full-set refusals) and flushes it must equal a
+    scan of the entries."""
+    rng = DeterministicRng(11)
+    buffer = TagBuffer(num_entries=32, num_ways=4)
+
+    def scanned():
+        return sum(1 for bucket in buffer._sets for entry in bucket.values() if entry.remap)
+
+    for step in range(3000):
+        page = rng.randint(0, 96)
+        remap = rng.chance(0.4)
+        try:
+            buffer.insert(page, cached=rng.chance(0.5), way=rng.randint(0, 4), remap=remap)
+        except TagBufferFullError:
+            buffer.clear_remap_bits()
+        if rng.chance(0.02):
+            buffer.clear_remap_bits()
+        assert buffer.remap_count == scanned(), step
+    assert buffer.remap_fraction == scanned() / buffer.num_entries

@@ -268,15 +268,17 @@ def test_every_scheme_and_variant_runs_in_isolation(name):
         page = (i * 7) % 23
         addr = page * 4096 + (i % 64) * 64
         request = MemRequest(addr=addr, is_write=(i % 5 == 0), core_id=i % 2)
-        result = scheme.access(now, request, mc_id=page % 2)
-        assert result.latency >= 0
-        assert result.served_by in ("in-package", "off-package")
-        now += 10 + result.latency
+        latency = scheme.access(now, request, mc_id=page % 2)
+        # Every access returns its latency as a non-negative int and counts
+        # as exactly one demand hit or miss.
+        assert type(latency) is int and latency >= 0
+        assert scheme.demand_accesses == i + 1
+        now += 10 + latency
     for i in range(40):
         addr = ((i * 3) % 23) * 4096
         wb = MemRequest(addr=addr, is_write=True, core_id=0, is_writeback=True)
-        result = scheme.access(now, wb, mc_id=0)
-        assert result.latency == 0
+        latency = scheme.access(now, wb, mc_id=0)
+        assert type(latency) is int and latency == 0
         now += 10
 
     assert scheme.demand_accesses == 400
